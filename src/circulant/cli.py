@@ -1,12 +1,11 @@
 # Command-line front end: coefficients, expansions, multiplet tables, zero
-# lists, verification suites, and benchmarks.
+# lists and verification suites.
 
 import argparse
 import csv
 import io
 import json
 import sys
-import time
 
 from . import coeff_engine, expansion, oracles, symmetry
 
@@ -95,12 +94,12 @@ def cmd_coeff(args):
 
 
 def cmd_expand(args):
-    if args.N < 1 or args.N > args.max_n:
+    if args.N < 1 or args.N > expansion.MAX_N:
         raise UsageError("N out of range")
     if args.N == 1:
         poly = expansion.ExpansionPolynomial(1, {(1,): 1})
     else:
-        poly = expansion.expand(args.N, args.strategy)
+        poly = expansion.expand(args.N)
     if args.format == "json":
         print(poly_to_json(poly))
     elif args.format == "csv":
@@ -111,7 +110,7 @@ def cmd_expand(args):
 
 
 def cmd_multiplets(args):
-    if args.N < 2 or args.N > args.max_n:
+    if args.N < 2 or args.N > expansion.MAX_N:
         raise UsageError("N out of range")
     records = symmetry.classify(args.N)
     rows = [{"kind": rec.kind,
@@ -151,48 +150,30 @@ def zeros_report(n):
 
     Full scan for small n; for larger n only the structural family is listed.
     """
-    out = []
+    family = _structural_zero_family(n)
     if n <= 8:
-        for m in symmetry.valid_vectors(n):
-            a = coeff_engine.indices_from_multiplicities(m)
-            if coeff_engine.coefficient(a) == 0:
-                out.append((a, "corollary6" if _in_structural_family(a) else "accidental"))
-    else:
-        family = _structural_zero_family(n)
-        for a in sorted(family):
-            assert coeff_engine.coefficient(a) == 0
-            out.append((a, "corollary6"))
+        return [(coeff_engine.indices_from_multiplicities(m),
+                 "corollary6" if m in family else "accidental")
+                for m in expansion.expand(n).zero_keys()]
+    out = []
+    for a in sorted(map(coeff_engine.indices_from_multiplicities, family)):
+        assert coeff_engine.coefficient(a) == 0
+        out.append((a, "corollary6"))
     return out
 
 
 def _structural_zero_family(n):
-    base = [coeff_engine.indices_from_multiplicities(m)
-            for m in symmetry.valid_vectors(n)
-            if coeff_engine.zero_by_corollary6(
-                coeff_engine.indices_from_multiplicities(m))]
+    """Multiplicity vectors in the super multiplet of some corollary-6 shape."""
+    table = coeff_engine.group_table(n)
     family = set()
-    for a in base:
-        for shift in range(n):
-            for mult in symmetry.coprime_residues(n):
-                family.add(tuple(sorted((mult * x + shift) % n for x in a)))
+    for m in symmetry.valid_vectors(n):
+        if coeff_engine.zero_by_corollary6(coeff_engine.indices_from_multiplicities(m)):
+            family.update(tuple(m[p] for p in perm) for perm, _ in table)
     return family
 
 
-def _in_structural_family(a):
-    return a in _structural_family_cache(len(a))
-
-
-_family_memo = {}
-
-
-def _structural_family_cache(n):
-    if n not in _family_memo:
-        _family_memo[n] = _structural_zero_family(n)
-    return _family_memo[n]
-
-
 def cmd_zeros(args):
-    if args.N < 2 or args.N > args.max_n:
+    if args.N < 2 or args.N > expansion.MAX_N:
         raise UsageError("N out of range")
     report = zeros_report(args.N)
     if args.format == "json":
@@ -207,10 +188,11 @@ def cmd_zeros(args):
 
 
 def _parse_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    return int(text), int(text)
+    lo, sep, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise UsageError("range must be N or LO..HI with integer bounds")
 
 
 def _verify_oracle(lo, hi):
@@ -251,13 +233,14 @@ def _verify_lemmas(lo, hi):
 
 def _verify_symmetry(lo, hi):
     for n in range(max(2, lo), min(hi, 7) + 1):
+        perm, sign = coeff_engine.group_action(n, 1, 1)
         for m in symmetry.valid_vectors(n):
             a = coeff_engine.indices_from_multiplicities(m)
             c = coeff_engine.coefficient(a)
             if c % coeff_engine.divisibility_bound(a) != 0:
                 return "divisibility bound violated at N=%d %s" % (n, m)
-            shifted = tuple(sorted((x + 1) % n for x in a))
-            if coeff_engine.coefficient(shifted) * (1 if (n - 1) % 2 == 0 else -1) != c:
+            shifted = coeff_engine.indices_from_multiplicities(tuple(m[p] for p in perm))
+            if coeff_engine.coefficient(shifted) * sign != c:
                 return "shift covariance violated at N=%d %s" % (n, m)
     return None
 
@@ -294,27 +277,6 @@ def cmd_verify(args):
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
-def cmd_bench(args):
-    lo, hi = _parse_range(args.range)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["N", "terms", "expand_direct_s", "expand_reduced_s", "leibniz_s"])
-    for n in range(lo, hi + 1):
-        expansion._expand_cached.cache_clear()
-        t0 = time.perf_counter()
-        poly = expansion.expand(n, "direct")
-        t1 = time.perf_counter()
-        expansion.expand(n, "reduced")
-        t2 = time.perf_counter()
-        t_leib = ""
-        if n <= 9:
-            t3 = time.perf_counter()
-            oracles.leibniz_expansion(n)
-            t_leib = "%.4f" % (time.perf_counter() - t3)
-        writer.writerow([n, len(poly.terms), "%.4f" % (t1 - t0),
-                         "%.4f" % (t2 - t1), t_leib])
-    return EXIT_OK
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="circulant",
                                      description="exact circulant determinant expansions")
@@ -322,7 +284,6 @@ def build_parser():
 
     def common(p):
         p.add_argument("--format", choices=["json", "csv", "text"], default="text")
-        p.add_argument("--max-n", type=int, default=expansion.MAX_N)
 
     p = sub.add_parser("coeff", help="one expansion coefficient")
     p.add_argument("N", type=int)
@@ -335,9 +296,7 @@ def build_parser():
 
     p = sub.add_parser("expand", help="full determinant expansion")
     p.add_argument("N", type=int)
-    p.add_argument("--strategy", choices=["direct", "reduced"], default="direct")
     p.add_argument("--include-zeros", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_expand)
 
@@ -354,14 +313,8 @@ def build_parser():
     p = sub.add_parser("verify", help="run invariant suites")
     p.add_argument("range")
     p.add_argument("--suite")
-    p.add_argument("--jobs", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="timing table")
-    p.add_argument("range")
-    common(p)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import binomial, factorial, heaviside
+from .exactmath import binomial, factorial, mod_inverse
 from .partitions import multiset_partitions
 
 
@@ -238,6 +238,32 @@ def divisibility_bound(a) -> int:
     return n // d
 
 
+def coprime_residues(n: int):
+    """Multipliers of the group: the units of Z_N (just 1 when N = 1)."""
+    return [b for b in range(1, max(n, 2)) if math.gcd(b, n) == 1]
+
+
+def group_action(n: int, shift: int, mult: int):
+    """The index map x -> mult*x + shift as (position permutation, sign).
+
+    It sends a multiplicity vector m to tuple(m[p] for p in perm), and the
+    image's coefficient is sign * coeff(m).
+    """
+    inv = mod_inverse(mult, n)
+    perm = tuple(((i - shift) * inv) % n for i in range(n))
+    return perm, -1 if (shift * (n - 1)) % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def group_table(n: int, shifts_only: bool = False):
+    """group_action (perm, sign) of every shift and every coprime multiplier.
+
+    With shifts_only the table is the shift subgroup (mult = 1) alone.
+    """
+    mults = [1] if shifts_only else coprime_residues(n)
+    return tuple(group_action(n, shift, mult) for shift in range(n) for mult in mults)
+
+
 def reduce_representative(a):
     """Cheapest-to-evaluate image of [a] under shifts and coprime multipliers.
 
@@ -245,19 +271,14 @@ def reduce_representative(a):
     """
     a = as_index_set(a)
     n = len(a)
-    best = None
-    for shift in range(n):
-        sign = -1 if (shift * (n - 1)) % 2 else 1
-        for mult in range(1, n):
-            if math.gcd(mult, n) != 1:
-                continue
-            cand = tuple(sorted((mult * x + shift) % n for x in a))
-            m = multiplicities(cand)
-            p = n - m[0] - (m[1] if n > 1 else 0) - 1
-            key = (p, m[1] if n > 1 else 0, cand)
-            if best is None or key < best[0]:
-                best = (key, cand, sign)
-    return best[1], best[2]
+    if n == 1:
+        return a, 1
+    m = multiplicities(a)
+    images = ((tuple(m[p] for p in perm), sign) for perm, sign in group_table(n))
+    # fewest indices >= 2, then fewest 1s, then the smallest sorted index
+    # tuple, which is the largest multiplicity vector; the first image wins ties
+    image, sign = max(images, key=lambda t: (t[0][0] + t[0][1], -t[0][1], t[0]))
+    return indices_from_multiplicities(image), sign
 
 
 def coefficient(a, use_zero_criterion: bool = False) -> int:

@@ -34,31 +34,22 @@ class ExpansionPolynomial:
                 and self.n == other.n and self.terms == other.terms)
 
 
-def expand(n: int, strategy: str = "direct") -> ExpansionPolynomial:
+def expand(n: int) -> ExpansionPolynomial:
     if n < 2 or n > MAX_N:
         raise ValueError("dimension must be in [2, %d]" % MAX_N)
-    if strategy not in ("direct", "reduced"):
-        raise ValueError("unknown strategy %r" % strategy)
-    return _expand_cached(n, strategy)
+    return _expand_cached(n)
 
 
 @lru_cache(maxsize=32)
-def _expand_cached(n, strategy):
-    keys = symmetry.valid_vectors(n)
+def _expand_cached(n):
+    """One coefficient per super multiplet; its members follow by sign."""
     terms = {}
-    if strategy == "direct":
-        for m in keys:
-            terms[m] = coeff_engine.coefficient(
-                coeff_engine.indices_from_multiplicities(m))
-    else:
-        seen = set()
-        for m in keys:
-            if m in seen:
-                continue
-            rec = symmetry.super_multiplet(m)
-            for vec, sign in rec.members:
-                terms[vec] = sign * rec.value
-                seen.add(vec)
+    for m in symmetry.valid_vectors(n):
+        if m in terms:
+            continue
+        rec = symmetry.super_multiplet(m)
+        for vec, sign in rec.members:
+            terms[vec] = sign * rec.value
     return ExpansionPolynomial(n, terms)
 
 

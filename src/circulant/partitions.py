@@ -103,8 +103,3 @@ def multiset_partitions(elements):
     # deterministic order regardless of what the enumerator produced
     out.sort(key=lambda sp: sp.parts)
     return out
-
-
-def part_residue(theta, modulus: int) -> int:
-    """X(theta) = -sum(theta) mod modulus, normalized into [0, modulus-1]."""
-    return (-sum(theta)) % modulus

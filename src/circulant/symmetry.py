@@ -1,12 +1,12 @@
 # Shift/multiplier symmetries of the coefficient set, multiplet
 # classification, and the orbit-counting formulas.
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 
 from . import coeff_engine
-from .exactmath import binomial, divisors, euler_phi, mobius, mod_inverse, prime_factors
+from .coeff_engine import coprime_residues
+from .exactmath import binomial, divisors, euler_phi, mobius, prime_factors
 
 GroupElement = namedtuple("GroupElement", ["shift", "mult"])
 
@@ -15,14 +15,14 @@ MultipletRecord = namedtuple(
 
 
 def compose(g: GroupElement, h: GroupElement, n: int) -> GroupElement:
-    return GroupElement((g.shift + h.shift) % n, (g.mult * h.mult) % n)
+    """The element acting as h first and then g."""
+    return GroupElement((g.mult * h.shift + g.shift) % n, (g.mult * h.mult) % n)
 
 
 def act(g: GroupElement, m):
     """Apply the index map x -> mult*x + shift to the multiplicity vector m."""
-    n = len(m)
-    binv = mod_inverse(g.mult, n)
-    return tuple(m[((i - g.shift) * binv) % n] for i in range(n))
+    perm, _ = coeff_engine.group_action(len(m), g.shift, g.mult)
+    return tuple(m[p] for p in perm)
 
 
 def valid_vectors(n: int):
@@ -44,15 +44,7 @@ def valid_vectors(n: int):
     return out
 
 
-def coprime_residues(n: int):
-    return [b for b in range(1, n) if math.gcd(b, n) == 1]
-
-
-def _shift_sign(shift: int, n: int) -> int:
-    return -1 if (shift * (n - 1)) % 2 else 1
-
-
-def _orbit_with_signs(m, elements, n):
+def _orbit_with_signs(m, table):
     """Map member -> sign with coeff(member) = sign * coeff(m).
 
     Conflicting reachable signs force the whole orbit's value to zero; such
@@ -60,13 +52,9 @@ def _orbit_with_signs(m, elements, n):
     """
     signs = {m: 1}
     conflict = False
-    for g in elements:
-        img = act(g, m)
-        sign = _shift_sign(g.shift, n)
-        if img in signs and signs[img] != sign:
+    for perm, sign in table:
+        if signs.setdefault(tuple(m[p] for p in perm), sign) != sign:
             conflict = True
-        else:
-            signs.setdefault(img, sign)
     return signs, conflict
 
 
@@ -74,15 +62,14 @@ def additive_multiplet(m, value_fn=None) -> MultipletRecord:
     n = len(m)
     if sum(m) != n:
         raise ValueError("multiplicities must sum to the dimension")
-    elements = [GroupElement(k, 1) for k in range(n)]
-    signs, conflict = _orbit_with_signs(tuple(m), elements, n)
+    signs, conflict = _orbit_with_signs(tuple(m),
+                                        coeff_engine.group_table(n, shifts_only=True))
     return _finish_record("additive", signs, conflict, n, value_fn)
 
 
 def super_multiplet(m, value_fn=None) -> MultipletRecord:
     n = len(m)
-    elements = [GroupElement(k, b) for k in range(n) for b in coprime_residues(n)]
-    signs, conflict = _orbit_with_signs(tuple(m), elements, n)
+    signs, conflict = _orbit_with_signs(tuple(m), coeff_engine.group_table(n))
     return _finish_record("super", signs, conflict, n, value_fn)
 
 
@@ -189,8 +176,7 @@ def invariant_count_K(n: int, generator: GroupElement) -> int:
 
 def _fixed_vector_count(n: int, g: GroupElement) -> int:
     """Valid vectors fixed by g, by dynamic programming over position cycles."""
-    binv = mod_inverse(g.mult, n)
-    perm = [((i - g.shift) * binv) % n for i in range(n)]
+    perm, _ = coeff_engine.group_action(n, g.shift, g.mult)
     seen = [False] * n
     cycles = []  # (length, position-sum)
     for s in range(n):

@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
-from circulant import cli
+from circulant import cli, oracles
+from circulant.coeff_engine import indices_from_multiplicities
+from circulant.expansion import ExpansionPolynomial
+from circulant.symmetry import valid_vectors
 
 
 def run(capsys, *argv):
@@ -47,7 +50,7 @@ def test_no_command_is_usage_error(capsys):
 
 
 def test_expand_json_round_trip(capsys):
-    for n in (3, 4, 5, 6):
+    for n in range(2, 9):
         code, out = run(capsys, "expand", str(n), "--format", "json")
         assert code == 0
         line = out.strip()
@@ -56,6 +59,8 @@ def test_expand_json_round_trip(capsys):
         assert doc["N"] == n
         keys = [tuple(t["M"]) for t in doc["terms"]]
         assert keys == sorted(keys)
+        want = ExpansionPolynomial(n, oracles.leibniz_expansion(n))
+        assert line == cli.poly_to_json(want), n
 
 
 def test_expand_text_groups_by_partition(capsys):
@@ -74,6 +79,7 @@ def test_expand_include_zeros(capsys):
 
 def test_expand_range_check(capsys):
     assert run(capsys, "expand", "99")[0] == 2
+    assert run(capsys, "expand", "13")[0] == 2
 
 
 def test_multiplets_output(capsys):
@@ -95,6 +101,13 @@ def test_zeros_counts(capsys):
     assert all(z["kind"] == "corollary6" for z in doc["zeros"])
 
 
+def test_zeros_report_lists_every_zero():
+    for n in range(6, 9):
+        leib = oracles.leibniz_expansion(n)
+        want = [indices_from_multiplicities(m) for m in valid_vectors(n) if m not in leib]
+        assert [a for a, _ in cli.zeros_report(n)] == want, n
+
+
 def test_verify_pass(capsys):
     code, out = run(capsys, "verify", "3..5")
     assert code == 0
@@ -113,12 +126,9 @@ def test_verify_unknown_suite(capsys):
     assert run(capsys, "verify", "3..5", "--suite", "nope")[0] == 2
 
 
-def test_bench_csv(capsys):
-    code, out = run(capsys, "bench", "3..4")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("N,terms,")
-    assert len(lines) == 3
+def test_verify_bad_range(capsys):
+    assert run(capsys, "verify", "3..x")[0] == 2
+    assert run(capsys, "verify", "3..")[0] == 2
 
 
 def test_console_script_subprocess():

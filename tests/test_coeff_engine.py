@@ -146,6 +146,31 @@ def test_reduce_representative_example():
     assert rep == (0, 0, 0, 0, 1, 1, 3, 3, 4, 8)
     assert sign == -1
     assert sign * ce.coefficient(rep) == 200
+    assert ce.reduce_representative([0]) == ((0,), 1)
+
+
+def _reduce_representative_by_search(a):
+    """Reference: try every x -> mult*x + shift on the sorted index tuple."""
+    n = len(a)
+    best = None
+    for shift in range(n):
+        sign = -1 if (shift * (n - 1)) % 2 else 1
+        for mult in range(1, n):
+            if math.gcd(mult, n) != 1:
+                continue
+            cand = tuple(sorted((mult * x + shift) % n for x in a))
+            m = ce.multiplicities(cand)
+            key = (n - m[0] - m[1] - 1, m[1], cand)
+            if best is None or key < best[0]:
+                best = (key, cand, sign)
+    return best[1], best[2]
+
+
+def test_reduce_representative_matches_search():
+    for n in range(2, 10):
+        for m in valid_vectors(n):
+            a = ce.indices_from_multiplicities(m)
+            assert ce.reduce_representative(a) == _reduce_representative_by_search(a), a
 
 
 def test_reduce_representative_preserves_value():

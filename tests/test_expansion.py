@@ -11,11 +11,6 @@ def test_expand_matches_permutation_sum():
         assert expand(n).terms == oracles.leibniz_expansion(n), n
 
 
-def test_strategies_agree():
-    for n in range(2, 9):
-        assert expand(n, "direct") == expand(n, "reduced"), n
-
-
 def test_expand_keeps_zero_terms():
     poly = expand(6)
     zeros = poly.zero_keys()
@@ -30,8 +25,6 @@ def test_expand_bounds():
         expand(1)
     with pytest.raises(ValueError):
         expand(expansion.MAX_N + 1)
-    with pytest.raises(ValueError):
-        expand(5, "fastest")
 
 
 def test_polynomial_accessors():

@@ -37,6 +37,8 @@ def test_act_is_group_action():
     g = sym.GroupElement(3, 5)
     h = sym.GroupElement(6, 3)
     assert sym.act(g, sym.act(h, m)) == sym.act(sym.compose(g, h, n), m)
+    g, h = sym.GroupElement(1, 3), sym.GroupElement(1, 1)
+    assert sym.act(g, sym.act(h, m)) == sym.act(sym.compose(g, h, n), m)
     assert sym.act(sym.GroupElement(0, 1), m) == m
 
 
