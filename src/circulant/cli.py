@@ -196,7 +196,7 @@ def _parse_range(text):
 
 
 def _verify_oracle(lo, hi):
-    for n in range(max(3, lo), min(hi, 8) + 1):
+    for n in range(lo, hi + 1):
         leib = oracles.leibniz_expansion(n)
         for m in symmetry.valid_vectors(n):
             a = coeff_engine.indices_from_multiplicities(m)
@@ -210,7 +210,7 @@ def _verify_oracle(lo, hi):
 
 
 def _verify_identities(lo, hi):
-    for n in range(max(2, lo), min(hi, 9) + 1):
+    for n in range(lo, hi + 1):
         poly = expansion.expand(n)
         if n % 2 == 1 and expansion.evaluate(poly, [1] * n) != 0:
             return "det of all-ones not zero at N=%d" % n
@@ -221,7 +221,7 @@ def _verify_identities(lo, hi):
 
 
 def _verify_lemmas(lo, hi):
-    for n in range(max(3, lo), min(hi, 8) + 1):
+    for n in range(lo, hi + 1):
         for p in range(0, n):
             q = tuple(range(1, p + 1))
             if not oracles.lemma1_check(n, q):
@@ -232,7 +232,7 @@ def _verify_lemmas(lo, hi):
 
 
 def _verify_symmetry(lo, hi):
-    for n in range(max(2, lo), min(hi, 7) + 1):
+    for n in range(lo, hi + 1):
         perm, sign = coeff_engine.group_action(n, 1, 1)
         for m in symmetry.valid_vectors(n):
             a = coeff_engine.indices_from_multiplicities(m)
@@ -246,29 +246,42 @@ def _verify_symmetry(lo, hi):
 
 
 def _verify_counting(lo, hi):
-    for n in range(max(2, lo), min(hi, 10) + 1):
+    for n in range(lo, hi + 1):
         if symmetry.count_solutions_F(n) != len(symmetry.valid_vectors(n)):
             return "solution count formula wrong at N=%d" % n
     return None
 
 
+# suite -> (check over dimensions lo..hi, the dimensions it can check)
 SUITES = {
-    "oracle": _verify_oracle,
-    "identities": _verify_identities,
-    "lemmas": _verify_lemmas,
-    "symmetry": _verify_symmetry,
-    "counting": _verify_counting,
+    "oracle": (_verify_oracle, 3, 8),
+    "identities": (_verify_identities, 2, 9),
+    "lemmas": (_verify_lemmas, 3, 8),
+    "symmetry": (_verify_symmetry, 2, 7),
+    "counting": (_verify_counting, 2, 10),
 }
 
 
 def cmd_verify(args):
     lo, hi = _parse_range(args.range)
+    if lo > hi:
+        raise UsageError("empty range %d..%d" % (lo, hi))
     names = [args.suite] if args.suite else sorted(SUITES)
-    failed = False
     for name in names:
         if name not in SUITES:
             raise UsageError("unknown suite %r" % name)
-        err = SUITES[name](lo, hi)
+    # each selected suite's window of N clipped to the range; empty when it misses
+    clipped = {name: (max(lo, SUITES[name][1]), min(hi, SUITES[name][2])) for name in names}
+    if all(start > stop for start, stop in clipped.values()):
+        raise UsageError("no selected suite checks N in %d..%d" % (lo, hi))
+    failed = False
+    for name in names:
+        check, first, last = SUITES[name]
+        start, stop = clipped[name]
+        if start > stop:
+            print("%s: skip (checks N = %d..%d)" % (name, first, last))
+            continue
+        err = check(start, stop)
         if err is None:
             print("%s: pass" % name)
         else:

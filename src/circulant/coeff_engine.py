@@ -5,12 +5,12 @@
 # This module computes C_[a] by the closed-form partition sum, entirely in
 # integer/rational arithmetic.
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .exactmath import binomial, factorial, mod_inverse
-from .partitions import multiset_partitions
 
 
 def as_index_set(a):
@@ -57,49 +57,69 @@ def _shape(a):
     return len(a), m, m[0], m[1] if len(a) > 1 else 0, [x for x in a if x >= 2]
 
 
-def _lambda_sum(n, m1, m0, xs, zs):
-    """Sum over nonzero 0/1 masks of the partition-sum inner term."""
-    j = len(xs)
-    # per-part binomial factors used when the part's mask bit is set
-    bino = [binomial(xs[s] + zs[s] - 1, zs[s] - 1) for s in range(j)]
+def _partition_sum(rest, n, m0, m1):
+    """Sum over labeled set partitions P of `rest` of prod_parts (z-1)! * Lambda(P).
+
+    Lambda(P) sums, over the nonempty sets S of P's parts with sum_S x <= M1,
+    prod_S (-N) C(x+z-1, z-1) times C(N-M0-1-sum_S (x+z), M1-sum_S x), where a
+    part of size z and trace t has x = -t mod N. Swap the sums over P and S
+    and let T be the set of the p labels that S covers. The parts outside S
+    are any set partition of the other p-|T| labels, and the sum of
+    prod (z-1)! over the set partitions of an r-set is r! (permutations
+    counted by cycles), so
+
+        sum over nonempty T of (p-|T|)! sum_X G_T[X] C(N-M0-1-X-|T|, M1-X)
+
+    with G_T[X] the sum of prod_q (-N)(z_q-1)! C(x_q+z_q-1, z_q-1) over the
+    set partitions Q of T with sum_q x_q = X. G_T depends on T only through
+    its content c, a count per distinct value of `rest`, and prod_v C(m_v, c_v)
+    labeled T have content c. G is built over the contents smallest first,
+    splitting off the part that holds one copy of the first value present in
+    c; X > M1 is dropped as it can only grow. Everything stays in integers.
+    """
+    values = sorted(set(rest))
+    counts = [rest.count(v) for v in values]
+    p = len(rest)
+    choose = [[binomial(k, j) for j in range(k + 1)] for k in range(max(counts, default=0) + 1)]
+    # lexicographic order: c - b comes before c whenever b is nonzero, and
+    # the position of c in it is linear in c, so c - b sits at pos(c) - pos(b)
+    contents = list(itertools.product(*(range(k + 1) for k in counts)))
+    # (x, weight, position) of one part with content b; None when x alone exceeds M1
+    part = {}
+    for i, b in enumerate(contents[1:], 1):
+        z = sum(b)
+        x = -sum(k * v for k, v in zip(b, values)) % n
+        part[b] = (x, -n * factorial(z - 1) * binomial(x + z - 1, z - 1), i) if x <= m1 else None
+    g = [[1] + [0] * m1]
     total = 0
-    # parts sorted by ascending residue let us abandon a branch once the
-    # running residue sum exceeds m1 (the step function can never recover)
-    order = sorted(range(j), key=lambda s: xs[s])
-
-    def rec(pos, mu, x_acc, xz_acc, prod):
-        nonlocal total
-        if pos == j:
-            if mu:
-                total += ((-n) ** mu) * prod * binomial(n - m0 - 1 - xz_acc, m1 - x_acc)
-            return
-        s = order[pos]
-        rec(pos + 1, mu, x_acc, xz_acc, prod)
-        if x_acc + xs[s] <= m1:
-            rec(pos + 1, mu + 1, x_acc + xs[s], xz_acc + xs[s] + zs[s], prod * bino[s])
-
-    rec(0, 0, 0, 0, 1)
-    return total
-
-
-@lru_cache(maxsize=4096)
-def _partition_sum_dedup(a_rest, n, m0, m1):
-    """Sum over distinct multiset partitions of the non-pinned indices >= 2."""
-    total = Fraction(0)
-    for sp in multiset_partitions(list(a_rest)):
-        if sp.j == 0:
-            continue
-        weight = Fraction(1, sp.kappa_factorial())
-        for part in sp.parts:
-            weight *= Fraction(factorial(len(part) - 1),
-                               sp.element_multiplicity_factorial(part))
-        xs = sp.residues(n)
-        total += weight * _lambda_sum(n, m1, m0, xs, sp.sizes)
+    for i, c in enumerate(contents[1:], 1):
+        first = next(v for v, k in enumerate(c) if k)
+        # the first value present has its distinguished copy in the split-off part
+        ranges = [range(1, k + 1) if v == first else range(k + 1) for v, k in enumerate(c)]
+        row = [0] * (m1 + 1)
+        for b in itertools.product(*ranges):
+            if part[b] is None:
+                continue
+            x, w, j = part[b]
+            for v, (k, kb) in enumerate(zip(c, b)):
+                if kb:
+                    w *= choose[k - 1][kb - 1] if v == first else choose[k][kb]
+            rem = g[i - j]
+            for xsum in range(m1 + 1 - x):
+                if rem[xsum]:
+                    row[xsum + x] += w * rem[xsum]
+        g.append(row)
+        size = sum(c)
+        weight = factorial(p - size)
+        for k, kc in zip(counts, c):
+            weight *= choose[k][kc]
+        total += weight * sum(gx * binomial(n - m0 - 1 - xsum - size, m1 - xsum)
+                              for xsum, gx in enumerate(row) if gx)
     return total
 
 
 def coeff_theorem3(a) -> int:
-    """C_[a] via the deduplicated multiset-partition sum."""
+    """C_[a] via the labeled partition sum, evaluated by a sub-multiset DP."""
     a = as_index_set(a)
     n = len(a)
     if sum(a) % n != 0:
@@ -109,41 +129,14 @@ def coeff_theorem3(a) -> int:
     _, m, m0, m1, big = _shape(a)
     # condition 8 with two distinct values present forces at least one index >= 2
     assert big, "non-constant index set satisfying the residue gate has an index >= 2"
-    lead = Fraction(factorial(n - m0 - 1))
-    for q in range(1, n):
-        lead /= factorial(m[q])
-    pinned = big[-1]
-    total = lead + Fraction(1, m[pinned]) * _partition_sum_dedup(tuple(big[:-1]), n, m0, m1)
-    value = ((-1) ** (n - m0 - 1)) * n * total
-    assert value.denominator == 1
-    return int(value)
-
-
-def coeff_eq10d(a) -> int:
-    """C_[a] via the labeled-position partition sum (internal cross-check form)."""
-    a = as_index_set(a)
-    n = len(a)
-    if sum(a) % n != 0:
-        return 0
-    if a[0] == a[-1]:
-        return coeff_all_equal(a[0], n)
-    _, m, m0, m1, big = _shape(a)
-    rest = big[:-1]
-    p = len(rest)
-    brace = Fraction(factorial(n - m0 - 1), factorial(m1))
-    for sp in multiset_partitions(range(p)):
-        if sp.j == 0:
-            continue
-        weight = 1
-        for z in sp.sizes:
-            weight *= factorial(z - 1)
-        xs = tuple((-sum(rest[i] for i in part)) % n for part in sp.parts)
-        brace += weight * _lambda_sum(n, m1, m0, xs, sp.sizes)
-    value = Fraction(((-1) ** (n - m0 - 1)) * n) * brace
+    # one index >= 2 is pinned; N - M0 - 1 >= M1 because it exists
+    brace = factorial(n - m0 - 1) // factorial(m1) + _partition_sum(big[:-1], n, m0, m1)
+    value = ((-1) ** (n - m0 - 1)) * n * brace
+    denom = 1
     for q in range(2, n):
-        value /= factorial(m[q])
-    assert value.denominator == 1
-    return int(value)
+        denom *= factorial(m[q])
+    assert value % denom == 0
+    return value // denom
 
 
 def _beta_tuples(p):

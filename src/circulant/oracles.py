@@ -7,11 +7,11 @@ import cmath
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
-from sympy.utilities.iterables import multiset_permutations
-
-from .coeff_engine import as_index_set, multiplicities
-from .exactmath import divisors, factorial, mobius
+from .coeff_engine import _shape, as_index_set, coeff_all_equal, multiplicities
+from .exactmath import binomial, divisors, factorial, mobius
+from .partitions import multiset_partitions
 
 
 def _next_permutation(seq) -> bool:
@@ -29,19 +29,25 @@ def _next_permutation(seq) -> bool:
     return True
 
 
+def multiset_permutations(values):
+    """Every distinct ordering of a multiset, as lists in lexicographic order."""
+    perm = sorted(values)
+    while True:
+        yield list(perm)
+        if not _next_permutation(perm):
+            return
+
+
 def kmod_counts(a):
     """counts[k] = number of distinct arrangements of [a] with weighted sum = k mod N."""
     a = as_index_set(a)
     n = len(a)
     counts = [0] * n
-    perm = list(a)
-    while True:
+    for perm in multiset_permutations(a):
         w = 0
         for pos, v in enumerate(perm):
             w += pos * v
         counts[w % n] += 1
-        if not _next_permutation(perm):
-            break
     return counts
 
 
@@ -51,6 +57,62 @@ def coeff_via_theorem2(a) -> int:
     n = len(a)
     counts = kmod_counts(a)
     return sum(mobius(n // d) * counts[d % n] for d in divisors(n))
+
+
+def _lambda_sum(n, m1, m0, xs, zs):
+    """Sum over nonzero 0/1 masks of the partition-sum inner term."""
+    j = len(xs)
+    # per-part binomial factors used when the part's mask bit is set
+    bino = [binomial(xs[s] + zs[s] - 1, zs[s] - 1) for s in range(j)]
+    total = 0
+    # parts sorted by ascending residue let us abandon a branch once the
+    # running residue sum exceeds m1 (the step function can never recover)
+    order = sorted(range(j), key=lambda s: xs[s])
+
+    def rec(pos, mu, x_acc, xz_acc, prod):
+        nonlocal total
+        if pos == j:
+            if mu:
+                total += ((-n) ** mu) * prod * binomial(n - m0 - 1 - xz_acc, m1 - x_acc)
+            return
+        s = order[pos]
+        rec(pos + 1, mu, x_acc, xz_acc, prod)
+        if x_acc + xs[s] <= m1:
+            rec(pos + 1, mu + 1, x_acc + xs[s], xz_acc + xs[s] + zs[s], prod * bino[s])
+
+    rec(0, 0, 0, 0, 1)
+    return total
+
+
+def coeff_eq10d(a) -> int:
+    """C_[a] by enumerating the labeled-position partition sum term by term.
+
+    The engine's coeff_theorem3 evaluates the same sum by a DP over
+    sub-multisets; this is the independent enumeration it is checked against.
+    """
+    a = as_index_set(a)
+    n = len(a)
+    if sum(a) % n != 0:
+        return 0
+    if a[0] == a[-1]:
+        return coeff_all_equal(a[0], n)
+    _, m, m0, m1, big = _shape(a)
+    rest = big[:-1]
+    p = len(rest)
+    brace = Fraction(factorial(n - m0 - 1), factorial(m1))
+    for sp in multiset_partitions(range(p)):
+        if sp.j == 0:
+            continue
+        weight = 1
+        for z in sp.sizes:
+            weight *= factorial(z - 1)
+        xs = tuple((-sum(rest[i] for i in part)) % n for part in sp.parts)
+        brace += weight * _lambda_sum(n, m1, m0, xs, sp.sizes)
+    value = Fraction(((-1) ** (n - m0 - 1)) * n) * brace
+    for q in range(2, n):
+        value /= factorial(m[q])
+    assert value.denominator == 1
+    return int(value)
 
 
 def leibniz_expansion(n: int, cap: int = 9):
@@ -123,7 +185,7 @@ def kmod_via_q(a):
         hist = [q_partition_function(t, m1, n - 1, n, subset) for t in range(n)]
         if not any(hist):
             continue
-        for assignment in multiset_permutations(rest) if rest else [[]]:
+        for assignment in multiset_permutations(rest):
             t = sum(v * q for v, q in zip(assignment, subset)) % n
             for k in range(n):
                 totals[k] += label_weight * hist[(k - t) % n]
@@ -179,8 +241,6 @@ def lemma2_check(p: int, bound: int, trials: int = 50, seed: int = 0) -> bool:
     [1, bound]^p must match the partition-weighted sum over unrestricted
     lower-dimensional lattices. Exact integer comparison.
     """
-    from fractions import Fraction
-
     from .exactmath import multinomial_star
     from .partitions import integer_partitions
 

@@ -1,9 +1,8 @@
 # Integer partitions and multiset set-partitions, with the part-multiplicity
 # bookkeeping the coefficient formulas need.
 
+import itertools
 from collections import Counter
-
-from sympy.utilities.iterables import multiset_partitions as _msp
 
 from .exactmath import factorial
 
@@ -94,12 +93,27 @@ class SetPartition:
 def multiset_partitions(elements):
     """All distinct partitions of a multiset, as SetPartition objects.
 
-    The empty multiset yields a single empty partition.
+    The empty multiset yields a single empty partition. Parts are count
+    vectors over the distinct values, chosen in lexicographically
+    non-increasing order; the largest remaining part always holds the
+    smallest value left, so each partition is produced exactly once.
     """
-    elements = sorted(elements)
-    if not elements:
-        return [SetPartition([])]
-    out = [SetPartition(parts) for parts in _msp(elements)]
-    # deterministic order regardless of what the enumerator produced
+    elements = list(elements)
+    values = sorted(set(elements))
+    counts = tuple(elements.count(v) for v in values)
+    out = []
+
+    def rec(left, bound, parts):
+        if not any(left):
+            out.append(SetPartition(
+                [[v for v, k in zip(values, b) for _ in range(k)] for b in parts]))
+            return
+        first = next(v for v, k in enumerate(left) if k)
+        ranges = [range(1, k + 1) if v == first else range(k + 1) for v, k in enumerate(left)]
+        for b in itertools.product(*ranges):
+            if b <= bound:
+                rec(tuple(k - j for k, j in zip(left, b)), b, parts + [b])
+
+    rec(counts, counts, [])
     out.sort(key=lambda sp: sp.parts)
     return out

@@ -129,6 +129,18 @@ def test_verify_unknown_suite(capsys):
 def test_verify_bad_range(capsys):
     assert run(capsys, "verify", "3..x")[0] == 2
     assert run(capsys, "verify", "3..")[0] == 2
+    # a range that checks nothing is a usage error, not a pass
+    assert run(capsys, "verify", "5..3")[0] == 2
+    assert run(capsys, "verify", "20..30")[0] == 2
+    assert run(capsys, "verify", "9", "--suite", "oracle")[0] == 2
+
+
+def test_verify_skips_suites_outside_range(capsys):
+    code, out = run(capsys, "verify", "10")
+    assert code == 0
+    assert "counting: pass" in out
+    for name in ("oracle", "identities", "lemmas", "symmetry"):
+        assert "%s: skip" % name in out
 
 
 def test_console_script_subprocess():
@@ -137,3 +149,11 @@ def test_console_script_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-3"
+
+
+def test_import_needs_no_sympy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, circulant.cli; assert 'sympy' not in sys.modules"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -2,7 +2,7 @@ import itertools
 import math
 import random
 
-from circulant import coeff_engine as ce
+from circulant import coeff_engine as ce, oracles
 from circulant.symmetry import valid_vectors
 
 # frozen values, each independently recomputable from the determinant itself
@@ -50,11 +50,10 @@ def test_theorem3_vs_labeled_form():
     for n in range(3, 8):
         for m in valid_vectors(n):
             a = ce.indices_from_multiplicities(m)
-            assert ce.coeff_theorem3(a) == ce.coeff_eq10d(a), a
+            assert ce.coeff_theorem3(a) == oracles.coeff_eq10d(a), a
 
 
 def test_theorem3_vs_labeled_form_sampled_large():
-    from circulant import oracles
     rng = random.Random(8)
     leib9 = oracles.leibniz_expansion(9)
     for n in (8, 9):
@@ -62,7 +61,7 @@ def test_theorem3_vs_labeled_form_sampled_large():
         for m in rng.sample(vecs, 100):
             a = ce.indices_from_multiplicities(m)
             want = ce.coeff_theorem3(a)
-            assert ce.coeff_eq10d(a) == want, a
+            assert oracles.coeff_eq10d(a) == want, a
             if n == 9:
                 assert leib9.get(m, 0) == want, a
             elif rng.random() < 0.3:

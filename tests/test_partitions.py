@@ -56,3 +56,25 @@ def test_empty_partition():
     assert len(multiset_partitions([])) == 1
     assert multiset_partitions([])[0].j == 0
     assert integer_partitions(0)[0].parts == ()
+
+
+def _labeled_set_partitions(k):
+    """Every set partition of range(k), by placing each element in turn."""
+    if k == 0:
+        return [[]]
+    out = []
+    for blocks in _labeled_set_partitions(k - 1):
+        for i in range(len(blocks)):
+            out.append(blocks[:i] + [blocks[i] + [k - 1]] + blocks[i + 1:])
+        out.append(blocks + [[k - 1]])
+    return out
+
+
+def test_multiset_partitions_match_labeled_dedup():
+    for elements in ([1, 1], [1, 1, 2], [2, 2, 2, 5], [3, 3, 4, 4], [0, 0, 1, 1, 1],
+                     [2, 3, 3, 5, 5, 5], [4, 4, 4, 4, 4, 4], [1, 2, 2, 3, 3, 3, 4]):
+        want = {SetPartition([[elements[i] for i in block] for block in blocks])
+                for blocks in _labeled_set_partitions(len(elements))}
+        got = multiset_partitions(elements)
+        assert len(got) == len(set(got)) == len(want), elements
+        assert set(got) == want, elements
