@@ -3,11 +3,10 @@
 # det of the N x N circulant with first column x_0..x_{N-1} expands as
 # sum over sorted index multisets [a_0..a_{N-1}] of C_[a] * x_{a_0}...x_{a_{N-1}}.
 # This module computes C_[a] by the closed-form partition sum, entirely in
-# integer/rational arithmetic.
+# integer arithmetic.
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactmath import binomial, factorial, mod_inverse
@@ -139,65 +138,6 @@ def coeff_theorem3(a) -> int:
     return value // denom
 
 
-def _beta_tuples(p):
-    """All beta_1..beta_p >= 0 with sum(s*beta_s) <= p, excluding all-zero."""
-    out = []
-
-    def rec(s, budget, acc):
-        if s > p:
-            if any(acc):
-                out.append(tuple(acc))
-            return
-        for b in range(budget // s + 1):
-            rec(s + 1, budget - s * b, acc + [b])
-
-    rec(1, p, [])
-    return out
-
-
-def coeff_special_ab(a) -> int:
-    """C_[a] for shapes {0^M0, 1^M1, a^Ma, b^Mb} with Mb <= 1 and a >= 2."""
-    a = as_index_set(a)
-    n = len(a)
-    _, m, m0, m1, big = _shape(a)
-    distinct = sorted(set(big))
-    if not distinct:
-        raise ValueError("shape needs at least one index >= 2")
-    if len(distinct) == 1:
-        a_val, m_a, m_b = distinct[0], m[distinct[0]], 0
-    elif len(distinct) == 2:
-        # the singleton one plays the role of b
-        c0, c1 = distinct
-        if m[c1] == 1:
-            a_val, m_a, m_b = c0, m[c0], 1
-        elif m[c0] == 1:
-            a_val, m_a, m_b = c1, m[c1], 1
-        else:
-            raise ValueError("one of the two repeated values must be a singleton")
-    else:
-        raise ValueError("at most two distinct values >= 2 allowed")
-    if sum(a) % n != 0:
-        return 0
-    p = n - m0 - m1 - 1
-    xvals = [(-s * a_val) % n for s in range(p + 1)]  # xvals[s] for s >= 1
-    brace = Fraction(binomial(n - m0 - 1, m1))
-    for beta in _beta_tuples(p):
-        mu = sum(beta)
-        bx = sum(beta[s - 1] * xvals[s] for s in range(1, p + 1))
-        if bx > m1:
-            continue
-        bxz = sum(beta[s - 1] * (xvals[s] + s) for s in range(1, p + 1))
-        term = Fraction(((-n) ** mu) * binomial(n - m0 - 1 - bxz, m1 - bx))
-        for s in range(1, p + 1):
-            if beta[s - 1]:
-                term *= Fraction(binomial(xvals[s] + s - 1, s - 1) ** beta[s - 1],
-                                 (s ** beta[s - 1]) * factorial(beta[s - 1]))
-        brace += term
-    value = Fraction(((-1) ** (n - m0 - 1)) * n, m_a + m_b) * binomial(m_a + m_b, m_a) * brace
-    assert value.denominator == 1
-    return int(value)
-
-
 def zero_by_corollary6(a) -> bool:
     """Structural zero test for shapes 0..0 1..1 A1 A2 A3 (both branches)."""
     a = as_index_set(a)
@@ -274,25 +214,19 @@ def reduce_representative(a):
     return indices_from_multiplicities(image), sign
 
 
-def coefficient(a, use_zero_criterion: bool = False) -> int:
-    value, _ = coefficient_with_path(a, use_zero_criterion)
+def coefficient(a) -> int:
+    value, _ = coefficient_with_path(a)
     return value
 
 
-def coefficient_with_path(a, use_zero_criterion: bool = False):
-    """Dispatch to the cheapest applicable formula; returns (value, path name)."""
+def coefficient_with_path(a):
+    """C_[a] and the path that gave it: residue gate, all-equal, or the
+    partition sum at the reduce_representative image."""
     a = as_index_set(a)
     n = len(a)
     if sum(a) % n != 0:
         return 0, "residue-gate"
     if a[0] == a[-1]:
         return coeff_all_equal(a[0], n), "all-equal"
-    if use_zero_criterion and zero_by_corollary6(a):
-        return 0, "structural-zero"
-    _, m, m0, m1, big = _shape(a)
-    distinct = sorted(set(big))
-    singleton_ok = (len(distinct) == 1
-                    or (len(distinct) == 2 and (m[distinct[0]] == 1 or m[distinct[1]] == 1)))
-    if singleton_ok:
-        return coeff_special_ab(a), "two-value-tail"
-    return coeff_theorem3(a), "partition-sum"
+    rep, sign = reduce_representative(a)
+    return sign * coeff_theorem3(rep), "partition-sum"

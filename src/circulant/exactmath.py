@@ -98,12 +98,3 @@ def mod_inverse(n: int, modulus: int) -> int:
         raise ValueError("%d is not invertible mod %d" % (n, modulus))
     return pow(n, -1, modulus)
 
-
-def heaviside(n: int) -> int:
-    return 1 if n >= 0 else 0
-
-
-def delta_mod(d: int, modulus: int) -> int:
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    return 1 if d % modulus == 0 else 0

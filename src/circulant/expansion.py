@@ -42,14 +42,22 @@ def expand(n: int) -> ExpansionPolynomial:
 
 @lru_cache(maxsize=32)
 def _expand_cached(n):
-    """One coefficient per super multiplet; its members follow by sign."""
+    """One coefficient per super multiplet; its members follow by sign.
+
+    This is the only place orbits are evaluated. `coefficient` reduces the
+    representative to the orbit's cheapest member before the partition sum.
+    """
     terms = {}
     for m in symmetry.valid_vectors(n):
         if m in terms:
             continue
         rec = symmetry.super_multiplet(m)
+        value = coeff_engine.coefficient(
+            coeff_engine.indices_from_multiplicities(rec.representative))
+        if rec.conflict:
+            assert value == 0, "sign-conflicted orbit must carry a zero coefficient"
         for vec, sign in rec.members:
-            terms[vec] = sign * rec.value
+            terms[vec] = sign * value
     return ExpansionPolynomial(n, terms)
 
 

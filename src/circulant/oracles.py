@@ -115,6 +115,65 @@ def coeff_eq10d(a) -> int:
     return int(value)
 
 
+def _beta_tuples(p):
+    """All beta_1..beta_p >= 0 with sum(s*beta_s) <= p, excluding all-zero."""
+    out = []
+
+    def rec(s, budget, acc):
+        if s > p:
+            if any(acc):
+                out.append(tuple(acc))
+            return
+        for b in range(budget // s + 1):
+            rec(s + 1, budget - s * b, acc + [b])
+
+    rec(1, p, [])
+    return out
+
+
+def coeff_special_ab(a) -> int:
+    """C_[a] for shapes {0^M0, 1^M1, a^Ma, b^Mb} with Mb <= 1 and a >= 2."""
+    a = as_index_set(a)
+    n = len(a)
+    _, m, m0, m1, big = _shape(a)
+    distinct = sorted(set(big))
+    if not distinct:
+        raise ValueError("shape needs at least one index >= 2")
+    if len(distinct) == 1:
+        a_val, m_a, m_b = distinct[0], m[distinct[0]], 0
+    elif len(distinct) == 2:
+        # the singleton one plays the role of b
+        c0, c1 = distinct
+        if m[c1] == 1:
+            a_val, m_a, m_b = c0, m[c0], 1
+        elif m[c0] == 1:
+            a_val, m_a, m_b = c1, m[c1], 1
+        else:
+            raise ValueError("one of the two repeated values must be a singleton")
+    else:
+        raise ValueError("at most two distinct values >= 2 allowed")
+    if sum(a) % n != 0:
+        return 0
+    p = n - m0 - m1 - 1
+    xvals = [(-s * a_val) % n for s in range(p + 1)]  # xvals[s] for s >= 1
+    brace = Fraction(binomial(n - m0 - 1, m1))
+    for beta in _beta_tuples(p):
+        mu = sum(beta)
+        bx = sum(beta[s - 1] * xvals[s] for s in range(1, p + 1))
+        if bx > m1:
+            continue
+        bxz = sum(beta[s - 1] * (xvals[s] + s) for s in range(1, p + 1))
+        term = Fraction(((-n) ** mu) * binomial(n - m0 - 1 - bxz, m1 - bx))
+        for s in range(1, p + 1):
+            if beta[s - 1]:
+                term *= Fraction(binomial(xvals[s] + s - 1, s - 1) ** beta[s - 1],
+                                 (s ** beta[s - 1]) * factorial(beta[s - 1]))
+        brace += term
+    value = Fraction(((-1) ** (n - m0 - 1)) * n, m_a + m_b) * binomial(m_a + m_b, m_a) * brace
+    assert value.denominator == 1
+    return int(value)
+
+
 def leibniz_expansion(n: int, cap: int = 9):
     """Full symbolic determinant by permutation sum.
 

@@ -1,10 +1,8 @@
-# Integer partitions and multiset set-partitions, with the part-multiplicity
-# bookkeeping the coefficient formulas need.
+# Integer partitions and multiset set-partitions, for the oracles' term-by-term
+# sums.
 
 import itertools
 from collections import Counter
-
-from .exactmath import factorial
 
 
 class IntegerPartition:
@@ -48,8 +46,7 @@ def integer_partitions(p: int):
 class SetPartition:
     """A partition of a multiset of indices into unordered parts.
 
-    Identical parts are kept as repeated entries in `parts`; kappa counts them
-    so evaluators can divide by kappa! per distinct part.
+    Identical parts are kept as repeated entries in `parts`.
     """
 
     def __init__(self, parts):
@@ -58,27 +55,6 @@ class SetPartition:
         self.parts = tuple(canon)
         self.j = len(self.parts)
         self.sizes = tuple(len(part) for part in self.parts)
-        self.kappa = Counter(self.parts)
-        self.traces = tuple(sum(part) for part in self.parts)
-
-    def residues(self, modulus: int):
-        """X value per part: -trace mod modulus, in [0, modulus-1]."""
-        return tuple((-t) % modulus for t in self.traces)
-
-    def kappa_factorial(self) -> int:
-        out = 1
-        for count in self.kappa.values():
-            out *= factorial(count)
-        return out
-
-    def element_multiplicity_factorial(self, part) -> int:
-        out = 1
-        for count in Counter(part).values():
-            out *= factorial(count)
-        return out
-
-    def size_profile(self):
-        return IntegerPartition(self.sizes)
 
     def __repr__(self):
         return "SetPartition%r" % (self.parts,)

@@ -10,8 +10,10 @@ from .exactmath import binomial, divisors, euler_phi, mobius, prime_factors
 
 GroupElement = namedtuple("GroupElement", ["shift", "mult"])
 
+# orbit of the shift group (additive) or of the whole group (super); no
+# coefficient is computed here, expansion.expand supplies the values
 MultipletRecord = namedtuple(
-    "MultipletRecord", ["kind", "representative", "n", "members", "value"])
+    "MultipletRecord", ["kind", "representative", "n", "members", "conflict"])
 
 
 def compose(g: GroupElement, h: GroupElement, n: int) -> GroupElement:
@@ -44,50 +46,37 @@ def valid_vectors(n: int):
     return out
 
 
-def _orbit_with_signs(m, table):
-    """Map member -> sign with coeff(member) = sign * coeff(m).
+def additive_multiplet(m) -> MultipletRecord:
+    n = len(m)
+    if sum(m) != n:
+        raise ValueError("multiplicities must sum to the dimension")
+    return _multiplet("additive", tuple(m), coeff_engine.group_table(n, shifts_only=True))
+
+
+def super_multiplet(m) -> MultipletRecord:
+    return _multiplet("super", tuple(m), coeff_engine.group_table(len(m)))
+
+
+def _multiplet(kind, m, table):
+    """The orbit of m under `table`, each member with the sign s such that
+    coeff(member) = s * coeff(representative), the smallest member.
 
     Conflicting reachable signs force the whole orbit's value to zero; such
-    members are pinned at +1 and flagged.
+    an orbit is flagged and its members pinned at +1.
     """
     signs = {m: 1}
     conflict = False
     for perm, sign in table:
         if signs.setdefault(tuple(m[p] for p in perm), sign) != sign:
             conflict = True
-    return signs, conflict
-
-
-def additive_multiplet(m, value_fn=None) -> MultipletRecord:
-    n = len(m)
-    if sum(m) != n:
-        raise ValueError("multiplicities must sum to the dimension")
-    signs, conflict = _orbit_with_signs(tuple(m),
-                                        coeff_engine.group_table(n, shifts_only=True))
-    return _finish_record("additive", signs, conflict, n, value_fn)
-
-
-def super_multiplet(m, value_fn=None) -> MultipletRecord:
-    n = len(m)
-    signs, conflict = _orbit_with_signs(tuple(m), coeff_engine.group_table(n))
-    return _finish_record("super", signs, conflict, n, value_fn)
-
-
-def _finish_record(kind, signs, conflict, n, value_fn):
     rep = min(signs)
     rep_sign = signs[rep]
     members = sorted((vec, 1 if conflict else sign * rep_sign)
                      for vec, sign in signs.items())
-    if value_fn is None:
-        value_fn = lambda v: coeff_engine.coefficient(
-            coeff_engine.indices_from_multiplicities(v))
-    value = value_fn(rep)
-    if conflict:
-        assert value == 0, "sign-conflicted orbit must carry a zero coefficient"
-    return MultipletRecord(kind, rep, len(members), members, value)
+    return MultipletRecord(kind, rep, len(members), members, conflict)
 
 
-def classify(n: int, value_fn=None):
+def classify(n: int):
     """Every valid vector grouped into one additive and one super multiplet."""
     if n < 2:
         raise ValueError("dimension must be >= 2")
@@ -97,7 +86,7 @@ def classify(n: int, value_fn=None):
         for m in valid_vectors(n):
             if m in seen:
                 continue
-            rec = build(m, value_fn)
+            rec = build(m)
             seen.update(vec for vec, _ in rec.members)
             records.append(rec)
     return records

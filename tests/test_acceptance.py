@@ -208,7 +208,7 @@ def test_criterion_07_counting_formulas():
     t0 = time.time()
     for n in range(2, 11):
         assert symmetry.count_solutions_F(n) == len(symmetry.valid_vectors(n))
-        records = symmetry.classify(n, value_fn=lambda v: 0)
+        records = symmetry.classify(n)
         additive = [r for r in records if r.kind == "additive"]
         total = sum(symmetry.additive_multiplet_count_g(n, k)
                     for k in range(1, n + 1))

@@ -1,8 +1,11 @@
 import json
+import os
 import subprocess
 import sys
+import time
 
-from circulant import cli, oracles
+import circulant
+from circulant import cli, coeff_engine, expansion, oracles
 from circulant.coeff_engine import indices_from_multiplicities
 from circulant.expansion import ExpansionPolynomial
 from circulant.symmetry import valid_vectors
@@ -43,6 +46,13 @@ def test_coeff_usage_errors(capsys):
     assert run(capsys, "coeff", "5", "0,0,1,2,9")[0] == 2
     assert run(capsys, "coeff", "5", "0,0,1,x,2")[0] == 2
     assert run(capsys, "coeff", "5", "2,3,0,1,0,0", "--mult")[0] == 2
+
+
+def test_coeff_check_refused_above_window(capsys):
+    # the arrangement-counting oracle would walk 12!/2 orderings here
+    t0 = time.time()
+    assert run(capsys, "coeff", "12", "0,0,1,2,3,4,5,7,8,9,10,11", "--check")[0] == 2
+    assert time.time() - t0 < 5.0
 
 
 def test_no_command_is_usage_error(capsys):
@@ -91,6 +101,38 @@ def test_multiplets_output(capsys):
     assert doc["footer"]["F"] == 26
     assert doc["footer"]["additive_total"] == 6
     assert doc["footer"]["super_closed_form"] == 4
+
+
+def test_multiplets_values_match_leibniz(capsys):
+    for n in range(3, 9):
+        code, out = run(capsys, "multiplets", str(n), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        leib = oracles.leibniz_expansion(n)
+        for row in doc["multiplets"]:
+            rep = tuple(int(c) for c in row["representative"])
+            assert int(row["value"]) == leib.get(rep, 0), (n, row)
+        for kind in ("additive", "super"):
+            sizes = [row["n"] for row in doc["multiplets"] if row["kind"] == kind]
+            assert sum(sizes) == doc["footer"]["F"], (n, kind)
+
+
+def test_one_evaluation_per_super_orbit(capsys, monkeypatch):
+    # N = 8 has 49 super orbits; neither command evaluates more than that
+    calls = [0]
+    original = coeff_engine.coeff_theorem3
+
+    def counting(a):
+        calls[0] += 1
+        return original(a)
+
+    monkeypatch.setattr(coeff_engine, "coeff_theorem3", counting)
+    for command in ("multiplets", "expand"):
+        expansion._expand_cached.cache_clear()
+        calls[0] = 0
+        assert run(capsys, command, "8")[0] == 0
+        assert 0 < calls[0] <= 49, (command, calls[0])
+    expansion._expand_cached.cache_clear()
 
 
 def test_zeros_counts(capsys):
@@ -143,10 +185,19 @@ def test_verify_skips_suites_outside_range(capsys):
         assert "%s: skip" % name in out
 
 
+def _child_env():
+    """This environment with the tested package importable in a child
+    interpreter, which does not inherit pytest's `pythonpath` setting."""
+    src = os.path.dirname(os.path.dirname(circulant.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "circulant.cli", "coeff", "3", "0,1,2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-3"
 
@@ -155,5 +206,5 @@ def test_import_needs_no_sympy():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, circulant.cli; assert 'sympy' not in sys.modules"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr

@@ -3,7 +3,7 @@ import math
 import random
 
 from circulant import coeff_engine as ce, oracles
-from circulant.symmetry import valid_vectors
+from circulant.symmetry import classify, valid_vectors
 
 # frozen values, each independently recomputable from the determinant itself
 KNOWN = [
@@ -76,7 +76,17 @@ def test_two_value_tail_matches_general_form():
             applies = (len(big) == 1
                        or (len(big) == 2 and 1 in (m[big[0]], m[big[1]])))
             if big and applies:
-                assert ce.coeff_special_ab(a) == ce.coeff_theorem3(a), a
+                assert oracles.coeff_special_ab(a) == ce.coeff_theorem3(a), a
+
+
+def test_path_is_orbit_invariant():
+    # evaluating at the reduced image must not change the reported path
+    for n in range(2, 9):
+        for rec in classify(n):
+            if rec.kind == "super":
+                paths = {ce.coefficient_with_path(ce.indices_from_multiplicities(vec))[1]
+                         for vec, _ in rec.members}
+                assert len(paths) == 1, (n, rec.representative, paths)
 
 
 def test_shift_covariance():
@@ -117,7 +127,6 @@ def test_structural_zero_shapes_evaluate_to_zero():
             if ce.zero_by_corollary6(a):
                 hits += 1
                 assert ce.coefficient(a) == 0, a
-                assert ce.coefficient(a, use_zero_criterion=True) == 0
     assert hits > 0
 
 

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from circulant.exactmath import (binomial, delta_mod, divisors, euler_phi,
-                                 factorial, heaviside, mobius, mod_inverse,
-                                 multinomial_star, prime_factors)
+from circulant.exactmath import (binomial, divisors, euler_phi, factorial,
+                                 mobius, mod_inverse, multinomial_star,
+                                 prime_factors)
 from circulant.partitions import integer_partitions
 
 
@@ -86,14 +86,6 @@ def test_mod_inverse():
         pass
     else:
         assert False
-
-
-def test_heaviside_delta():
-    assert heaviside(0) == 1
-    assert heaviside(3) == 1
-    assert heaviside(-1) == 0
-    assert delta_mod(10, 5) == 1
-    assert delta_mod(7, 5) == 0
 
 
 def test_multinomial_star_values():

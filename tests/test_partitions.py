@@ -39,17 +39,8 @@ def test_multiset_partitions_deterministic():
 def test_set_partition_fields():
     sp = SetPartition([[8], [3, 7]])
     assert sp.j == 2
-    assert sp.sizes[0] == 2  # parts ordered largest first
-    assert sp.traces == (10, 8)
-    assert sp.residues(6) == ((-10) % 6, (-8) % 6)
-    assert sp.size_profile().parts == (2, 1)
-
-
-def test_set_partition_kappa():
-    sp = SetPartition([[3], [3], [7]])
-    assert sp.kappa_factorial() == 2  # two identical parts [3]
-    sp2 = SetPartition([[3, 3]])
-    assert sp2.element_multiplicity_factorial((3, 3)) == 2
+    assert sp.parts == ((3, 7), (8,))  # parts ordered largest first
+    assert sp.sizes == (2, 1)
 
 
 def test_empty_partition():

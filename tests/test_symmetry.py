@@ -45,7 +45,7 @@ def test_act_is_group_action():
 def test_orbits_partition_the_solution_set():
     for n in range(3, 9):
         vecs = sym.valid_vectors(n)
-        records = sym.classify(n, value_fn=lambda v: 0)
+        records = sym.classify(n)
         for kind in ("additive", "super"):
             members = [vec for rec in records if rec.kind == kind
                        for vec, _ in rec.members]
@@ -54,17 +54,17 @@ def test_orbits_partition_the_solution_set():
 
 def test_additive_orbit_signs():
     rec = sym.additive_multiplet((2, 3, 0, 1, 0, 0))  # N=6, shift flips sign
-    vals = {vec: coefficient(indices_from_multiplicities(vec))
-            for vec, _ in rec.members}
+    value = coefficient(indices_from_multiplicities(rec.representative))
     for vec, sign in rec.members:
-        assert vals[vec] == sign * rec.value, vec
+        assert coefficient(indices_from_multiplicities(vec)) == sign * value, vec
 
 
 def test_super_orbit_signs():
     for m in ((3, 0, 2, 0, 0, 2, 0), (2, 1, 0, 2, 1, 0, 1, 1)):
         rec = sym.super_multiplet(m)
+        value = coefficient(indices_from_multiplicities(rec.representative))
         for vec, sign in rec.members:
-            assert coefficient(indices_from_multiplicities(vec)) == sign * rec.value
+            assert coefficient(indices_from_multiplicities(vec)) == sign * value
 
 
 def test_additive_multiplet_size_counts():
@@ -79,7 +79,7 @@ def test_additive_multiplet_size_counts():
 
 def test_additive_counts_vs_enumeration():
     for n in range(2, 11):
-        records = [r for r in sym.classify(n, value_fn=lambda v: 0)
+        records = [r for r in sym.classify(n)
                    if r.kind == "additive"]
         by_size = {}
         for r in records:
@@ -101,7 +101,7 @@ def test_supermultiplet_count_vs_enumeration():
         want = sym.count_super_orbits(n)
         assert sym.supermultiplet_count(n) == want
         if n <= 10:
-            records = [r for r in sym.classify(n, value_fn=lambda v: 0)
+            records = [r for r in sym.classify(n)
                        if r.kind == "super"]
             assert len(records) == want
 
@@ -118,7 +118,7 @@ def test_closed_form_rejects_other_dimensions():
 
 def test_burnside_matches_direct_count():
     for n in range(3, 9):
-        records = [r for r in sym.classify(n, value_fn=lambda v: 0)
+        records = [r for r in sym.classify(n)
                    if r.kind == "super"]
         assert sym.count_super_orbits(n) == len(records), n
 
