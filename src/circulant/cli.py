@@ -155,28 +155,22 @@ def cmd_multiplets(args):
 def zeros_report(n):
     """(index set, annotation) for every vanishing condition-(8) coefficient.
 
-    Full scan for small n; for larger n only the structural family is listed.
+    Full scan for small n; for larger n only the structural family is listed,
+    checked by one evaluation per super orbit.
     """
-    family = _structural_zero_family(n)
+    orbits = {}  # representative -> super multiplet of a corollary-6 shape
+    for a in coeff_engine.corollary6_shapes(n):
+        rec = symmetry.super_multiplet(coeff_engine.multiplicities(a))
+        orbits[rec.representative] = rec
+    family = {vec for rec in orbits.values() for vec, _ in rec.members}
     if n <= 8:
         return [(coeff_engine.indices_from_multiplicities(m),
                  "corollary6" if m in family else "accidental")
                 for m in expansion.expand(n).zero_keys()]
-    out = []
-    for a in sorted(map(coeff_engine.indices_from_multiplicities, family)):
-        assert coeff_engine.coefficient(a) == 0
-        out.append((a, "corollary6"))
-    return out
-
-
-def _structural_zero_family(n):
-    """Multiplicity vectors in the super multiplet of some corollary-6 shape."""
-    table = coeff_engine.group_table(n)
-    family = set()
-    for m in symmetry.valid_vectors(n):
-        if coeff_engine.zero_by_corollary6(coeff_engine.indices_from_multiplicities(m)):
-            family.update(tuple(m[p] for p in perm) for perm, _ in table)
-    return family
+    for rep in orbits:
+        assert coeff_engine.coefficient(coeff_engine.indices_from_multiplicities(rep)) == 0
+    return [(a, "corollary6")
+            for a in sorted(map(coeff_engine.indices_from_multiplicities, family))]
 
 
 def cmd_zeros(args):

@@ -138,27 +138,25 @@ def coeff_theorem3(a) -> int:
     return value // denom
 
 
-def zero_by_corollary6(a) -> bool:
-    """Structural zero test for shapes 0..0 1..1 A1 A2 A3 (both branches)."""
-    a = as_index_set(a)
-    n = len(a)
-    _, m, m0, m1, big = _shape(a)
-    if len(big) != 3 or m0 < 1 or m1 < 1:
-        return False
-    if sum(a) % n != 0:
-        return False
-    a1, a2, a3 = big
-    t1 = (m1 + 2) * (m1 + 1)
-    if t1 % n == 0:
-        r = t1 // n
-        if a2 < n - m1 and a1 + a2 == n + 1 - r and a3 == m0 + 2 + r:
-            return True
-    t0 = (m0 + 2) * (m0 + 1)
-    if t0 % n == 0:
-        s = t0 // n
-        if a2 >= n - m1 and a2 + a3 == n + 1 + s and a1 == m0 + 2 - s:
-            return True
-    return False
+def corollary6_shapes(n: int):
+    """The structural zeros 0^M0 1^M1 A1 A2 A3 of corollary 6, as index sets.
+
+    Branch 1 (N | (M1+2)(M1+1) = rN): A3 = M0+2+r, A1+A2 = N+1-r, A2 < N-M1.
+    Branch 2 (N | (M0+2)(M0+1) = sN): A1 = M0+2-s, A2+A3 = N+1+s, A2 >= N-M1.
+    Both keep 2 <= A1 <= A2 <= A3 <= N-1; the indices sum to 2N, so the
+    residue gate holds, and the A2 ranges keep the branches disjoint.
+    """
+    for m0 in range(1, n - 3):
+        m1 = n - 3 - m0
+        t1, t0 = (m1 + 2) * (m1 + 1), (m0 + 2) * (m0 + 1)
+        triples = []
+        if t1 % n == 0:
+            triples += [(n + 1 - t1 // n - a2, a2, m0 + 2 + t1 // n) for a2 in range(n - m1)]
+        if t0 % n == 0:
+            triples += [(m0 + 2 - t0 // n, a2, n + 1 + t0 // n - a2) for a2 in range(n - m1, n)]
+        for a1, a2, a3 in triples:
+            if 2 <= a1 <= a2 <= a3 <= n - 1:
+                yield (0,) * m0 + (1,) * m1 + (a1, a2, a3)
 
 
 def divisibility_bound(a) -> int:

@@ -44,14 +44,11 @@ def expand(n: int) -> ExpansionPolynomial:
 def _expand_cached(n):
     """One coefficient per super multiplet; its members follow by sign.
 
-    This is the only place orbits are evaluated. `coefficient` reduces the
-    representative to the orbit's cheapest member before the partition sum.
+    The only place an expansion's orbits are evaluated; `coefficient`
+    reduces each representative to its orbit's cheapest member first.
     """
     terms = {}
-    for m in symmetry.valid_vectors(n):
-        if m in terms:
-            continue
-        rec = symmetry.super_multiplet(m)
+    for rec in symmetry.orbits(n):
         value = coeff_engine.coefficient(
             coeff_engine.indices_from_multiplicities(rec.representative))
         if rec.conflict:
@@ -96,13 +93,10 @@ def power_identity_check(n: int, d: int) -> bool:
     if d <= 1 or n % d != 0:
         raise ValueError("d must divide n and exceed 1")
     small = n // d
-    # left side: coefficients of keys supported on multiples of d only
-    left = {}
-    for m in symmetry.valid_vectors(n):
-        if all(count == 0 for value, count in enumerate(m) if value % d):
-            c = coeff_engine.coefficient(coeff_engine.indices_from_multiplicities(m))
-            if c:
-                left[tuple(m[value] for value in range(0, n, d))] = c
+    # left side: the nonzero terms supported on multiples of d only
+    left = {tuple(m[value] for value in range(0, n, d)): c
+            for m, c in expand(n).terms.items()
+            if all(count == 0 for value, count in enumerate(m) if value % d)}
     small_poly = expand(small).terms
     right = _poly_power(
         {tuple(k): v for k, v in small_poly.items()}, d, small)

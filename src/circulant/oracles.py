@@ -174,6 +174,29 @@ def coeff_special_ab(a) -> int:
     return int(value)
 
 
+def zero_by_corollary6(a) -> bool:
+    """Structural zero test for shapes 0..0 1..1 A1 A2 A3 (both branches)."""
+    a = as_index_set(a)
+    n = len(a)
+    _, m, m0, m1, big = _shape(a)
+    if len(big) != 3 or m0 < 1 or m1 < 1:
+        return False
+    if sum(a) % n != 0:
+        return False
+    a1, a2, a3 = big
+    t1 = (m1 + 2) * (m1 + 1)
+    if t1 % n == 0:
+        r = t1 // n
+        if a2 < n - m1 and a1 + a2 == n + 1 - r and a3 == m0 + 2 + r:
+            return True
+    t0 = (m0 + 2) * (m0 + 1)
+    if t0 % n == 0:
+        s = t0 // n
+        if a2 >= n - m1 and a2 + a3 == n + 1 + s and a1 == m0 + 2 - s:
+            return True
+    return False
+
+
 def leibniz_expansion(n: int, cap: int = 9):
     """Full symbolic determinant by permutation sum.
 

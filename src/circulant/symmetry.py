@@ -47,10 +47,7 @@ def valid_vectors(n: int):
 
 
 def additive_multiplet(m) -> MultipletRecord:
-    n = len(m)
-    if sum(m) != n:
-        raise ValueError("multiplicities must sum to the dimension")
-    return _multiplet("additive", tuple(m), coeff_engine.group_table(n, shifts_only=True))
+    return _multiplet("additive", tuple(m), coeff_engine.group_table(len(m), shifts_only=True))
 
 
 def super_multiplet(m) -> MultipletRecord:
@@ -64,6 +61,8 @@ def _multiplet(kind, m, table):
     Conflicting reachable signs force the whole orbit's value to zero; such
     an orbit is flagged and its members pinned at +1.
     """
+    if sum(m) != len(m):
+        raise ValueError("multiplicities must sum to the dimension")
     signs = {m: 1}
     conflict = False
     for perm, sign in table:
@@ -76,20 +75,23 @@ def _multiplet(kind, m, table):
     return MultipletRecord(kind, rep, len(members), members, conflict)
 
 
+def orbits(n: int, shifts_only: bool = False):
+    """The orbits of the valid vectors under group_table(n, shifts_only),
+    additive or super multiplets, in order of their first valid vector."""
+    build = additive_multiplet if shifts_only else super_multiplet
+    seen = set()
+    for m in valid_vectors(n):
+        if m not in seen:
+            rec = build(m)
+            seen.update(vec for vec, _ in rec.members)
+            yield rec
+
+
 def classify(n: int):
     """Every valid vector grouped into one additive and one super multiplet."""
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    records = []
-    for kind, build in (("additive", additive_multiplet), ("super", super_multiplet)):
-        seen = set()
-        for m in valid_vectors(n):
-            if m in seen:
-                continue
-            rec = build(m)
-            seen.update(vec for vec, _ in rec.members)
-            records.append(rec)
-    return records
+    return list(orbits(n, shifts_only=True)) + list(orbits(n))
 
 
 def count_solutions_F(n: int) -> int:

@@ -196,7 +196,7 @@ def test_criterion_05_three_way_oracle_sweep():
 
 
 def test_criterion_06_zero_counts():
-    for n, want in ((6, 12), (10, 120)):
+    for n, want in ((6, 12), (10, 120), (12, 192)):
         report = cli.zeros_report(n)
         assert len(report) == want
         for a, kind in report:

@@ -5,7 +5,7 @@ import sys
 import time
 
 import circulant
-from circulant import cli, coeff_engine, expansion, oracles
+from circulant import cli, coeff_engine, expansion, oracles, symmetry
 from circulant.coeff_engine import indices_from_multiplicities
 from circulant.expansion import ExpansionPolynomial
 from circulant.symmetry import valid_vectors
@@ -118,7 +118,8 @@ def test_multiplets_values_match_leibniz(capsys):
 
 
 def test_one_evaluation_per_super_orbit(capsys, monkeypatch):
-    # N = 8 has 49 super orbits; neither command evaluates more than that
+    # N = 8 has 49 super orbits; neither command evaluates more than that.
+    # The structural zeros of N = 10 fill 3 super orbits.
     calls = [0]
     original = coeff_engine.coeff_theorem3
 
@@ -133,6 +134,9 @@ def test_one_evaluation_per_super_orbit(capsys, monkeypatch):
         assert run(capsys, command, "8")[0] == 0
         assert 0 < calls[0] <= 49, (command, calls[0])
     expansion._expand_cached.cache_clear()
+    calls[0] = 0
+    assert run(capsys, "zeros", "10")[0] == 0
+    assert 0 < calls[0] <= 3, calls[0]
 
 
 def test_zeros_counts(capsys):
@@ -148,6 +152,16 @@ def test_zeros_report_lists_every_zero():
         leib = oracles.leibniz_expansion(n)
         want = [indices_from_multiplicities(m) for m in valid_vectors(n) if m not in leib]
         assert [a for a, _ in cli.zeros_report(n)] == want, n
+
+
+def test_zeros_lists_without_scanning(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("zeros above N = 8 must not enumerate valid vectors")
+
+    monkeypatch.setattr(symmetry, "valid_vectors", refuse)
+    code, out = run(capsys, "zeros", "12")
+    assert code == 0
+    assert out.splitlines()[-1] == "total 192"
 
 
 def test_verify_pass(capsys):

@@ -120,26 +120,36 @@ def test_divisibility_of_coefficients():
 
 
 def test_structural_zero_shapes_evaluate_to_zero():
-    hits = 0
-    for n in (6, 10):
-        for m in valid_vectors(n):
-            a = ce.indices_from_multiplicities(m)
-            if ce.zero_by_corollary6(a):
-                hits += 1
-                assert ce.coefficient(a) == 0, a
-    assert hits > 0
+    for n in (6, 10, 12):
+        shapes = list(ce.corollary6_shapes(n))
+        assert shapes, n
+        for a in shapes:
+            assert ce.coefficient(a) == 0, a
 
 
 def test_structural_zero_base_lists():
-    # dimension 6: four base shapes
-    for a in ([0, 0, 1, 2, 4, 5], [0, 1, 1, 2, 3, 5],
-              [0, 0, 1, 3, 3, 5], [0, 1, 1, 2, 4, 4]):
-        assert ce.zero_by_corollary6(a), a
-    # dimension 10: six base shapes
-    for a in ([0, 0, 0, 0, 1, 1, 1, 3, 7, 7], [0, 0, 0, 1, 1, 1, 1, 4, 4, 8],
-              [0, 0, 0, 0, 1, 1, 1, 3, 6, 8], [0, 0, 0, 1, 1, 1, 1, 3, 5, 8],
-              [0, 0, 0, 0, 1, 1, 1, 4, 5, 8], [0, 0, 0, 1, 1, 1, 1, 3, 6, 7]):
-        assert ce.zero_by_corollary6(a), a
+    # N -> the base shapes of corollary 6, as index sets
+    want = {
+        6: [(0, 0, 1, 2, 4, 5), (0, 1, 1, 2, 3, 5), (0, 0, 1, 3, 3, 5), (0, 1, 1, 2, 4, 4)],
+        10: [(0, 0, 0, 0, 1, 1, 1, 3, 7, 7), (0, 0, 0, 1, 1, 1, 1, 4, 4, 8),
+             (0, 0, 0, 0, 1, 1, 1, 3, 6, 8), (0, 0, 0, 1, 1, 1, 1, 3, 5, 8),
+             (0, 0, 0, 0, 1, 1, 1, 4, 5, 8), (0, 0, 0, 1, 1, 1, 1, 3, 6, 7)],
+        12: [(0,) * 7 + (1,) * 2 + t for t in ((3, 9, 10), (4, 8, 10), (5, 7, 10), (6, 6, 10))]
+            + [(0,) * 2 + (1,) * 7 + t for t in ((3, 4, 10), (3, 5, 9), (3, 6, 8), (3, 7, 7))],
+    }
+    for n, shapes in want.items():
+        assert sorted(ce.corollary6_shapes(n)) == sorted(shapes), n
+        for a in shapes:
+            assert oracles.zero_by_corollary6(a), a
+
+
+def test_corollary6_listing_matches_predicate_scan():
+    for n in range(2, 13):
+        scan = [ce.indices_from_multiplicities(m) for m in valid_vectors(n)
+                if oracles.zero_by_corollary6(ce.indices_from_multiplicities(m))]
+        listed = list(ce.corollary6_shapes(n))
+        assert len(set(listed)) == len(listed), n
+        assert sorted(listed) == sorted(scan), n
 
 
 def test_prime_dimension_has_no_zeros():

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from circulant import symmetry as sym
 from circulant.coeff_engine import coefficient, indices_from_multiplicities
 
@@ -65,6 +67,12 @@ def test_super_orbit_signs():
         value = coefficient(indices_from_multiplicities(rec.representative))
         for vec, sign in rec.members:
             assert coefficient(indices_from_multiplicities(vec)) == sign * value
+
+
+def test_multiplets_reject_invalid_vectors():
+    for build in (sym.additive_multiplet, sym.super_multiplet):
+        with pytest.raises(ValueError):
+            build((2, 0, 0))
 
 
 def test_additive_multiplet_size_counts():
