@@ -7,7 +7,10 @@ import io
 import json
 import sys
 
-from . import coeff_engine, expansion, oracles, symmetry
+# `partitions` serves only the oracles, which load lazily (coeff --check and
+# verify); it is imported here because perfbench/layers.py wraps
+# partitions.multiset_partitions by module name after importing this module
+from . import coeff_engine, expansion, partitions, symmetry  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -75,8 +78,7 @@ def cmd_coeff(args):
     if args.check and args.N > CHECK_MAX_N:
         raise UsageError("--check needs N <= %d" % CHECK_MAX_N)
     a = _parse_indices(args.N, args.indices, args.mult)
-    value, path = coeff_engine.coefficient_with_path(a)
-    rep, sign = coeff_engine.reduce_representative(a)
+    value, path, rep, sign = coeff_engine.coefficient_with_path(a)
     doc = {
         "N": args.N,
         "indices": list(a),
@@ -85,6 +87,7 @@ def cmd_coeff(args):
         "representative": {"indices": list(rep), "sign": sign},
     }
     if args.check:
+        from . import oracles
         oracle = oracles.coeff_via_theorem2(a)
         doc["oracle"] = str(oracle)
         if oracle != value:
@@ -197,6 +200,7 @@ def _parse_range(text):
 
 
 def _verify_oracle(lo, hi):
+    from . import oracles
     for n in range(lo, hi + 1):
         leib = oracles.leibniz_expansion(n)
         for m in symmetry.valid_vectors(n):
@@ -222,6 +226,7 @@ def _verify_identities(lo, hi):
 
 
 def _verify_lemmas(lo, hi):
+    from . import oracles
     for n in range(lo, hi + 1):
         for p in range(0, n):
             q = tuple(range(1, p + 1))
@@ -334,11 +339,16 @@ def build_parser():
     return parser
 
 
+_parser = None  # built by the first main call, then reused
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
+        _parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

@@ -205,26 +205,33 @@ def reduce_representative(a):
     if n == 1:
         return a, 1
     m = multiplicities(a)
-    images = ((tuple(m[p] for p in perm), sign) for perm, sign in group_table(n))
+    table = group_table(n)
     # fewest indices >= 2, then fewest 1s, then the smallest sorted index
-    # tuple, which is the largest multiplicity vector; the first image wins ties
-    image, sign = max(images, key=lambda t: (t[0][0] + t[0][1], -t[0][1], t[0]))
+    # tuple, which is the largest multiplicity vector; the first image wins ties.
+    # The first two fields read only an image's entries 0 and 1, so they are
+    # ranked as one integer (M0+M1 first, then fewer 1s, as M1 <= N), and
+    # whole images are built only for the elements that reach the top
+    heads = [(m[perm[0]] + m[perm[1]]) * (n + 1) - m[perm[1]] for perm, _ in table]
+    top = max(heads)
+    images = ((tuple(m[p] for p in perm), sign)
+              for (perm, sign), head in zip(table, heads) if head == top)
+    image, sign = max(images, key=lambda t: t[0])
     return indices_from_multiplicities(image), sign
 
 
 def coefficient(a) -> int:
-    value, _ = coefficient_with_path(a)
-    return value
+    return coefficient_with_path(a)[0]
 
 
 def coefficient_with_path(a):
-    """C_[a] and the path that gave it: residue gate, all-equal, or the
-    partition sum at the reduce_representative image."""
+    """(C_[a], path, rep, sign): the value, the path that gave it (residue
+    gate, all-equal, or the partition sum at the image), and the
+    reduce_representative image (rep, sign) of [a]."""
     a = as_index_set(a)
     n = len(a)
-    if sum(a) % n != 0:
-        return 0, "residue-gate"
-    if a[0] == a[-1]:
-        return coeff_all_equal(a[0], n), "all-equal"
     rep, sign = reduce_representative(a)
-    return sign * coeff_theorem3(rep), "partition-sum"
+    if sum(a) % n != 0:
+        return 0, "residue-gate", rep, sign
+    if a[0] == a[-1]:
+        return coeff_all_equal(a[0], n), "all-equal", rep, sign
+    return sign * coeff_theorem3(rep), "partition-sum", rep, sign

@@ -286,12 +286,11 @@ def _omega_power(n: int, e: int) -> complex:
     return cmath.exp(2j * cmath.pi * (e % n) / n)
 
 
-def lemma1_check(n: int, q, m1=None, samples: int = 64, tol: float = 1e-9) -> bool:
+def lemma1_check(n: int, q, samples: int = 64, tol: float = 1e-9) -> bool:
     """Numerically confirm the excluded-factor geometric-sum identity.
 
     Both sides are functions of y; they are compared at sample points chosen
-    off the unit circle (the left side's poles lie on it). The m1 argument is
-    accepted for interface compatibility and unused.
+    off the unit circle (the left side's poles lie on it).
     """
     q = tuple(q)
     p = len(q)

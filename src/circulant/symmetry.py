@@ -2,7 +2,6 @@
 # classification, and the orbit-counting formulas.
 
 from collections import namedtuple
-from fractions import Fraction
 
 from . import coeff_engine
 from .coeff_engine import coprime_residues
@@ -94,13 +93,18 @@ def classify(n: int):
     return list(orbits(n, shifts_only=True)) + list(orbits(n))
 
 
+def _exact_div(total: int, denom: int) -> int:
+    """total / denom, asserting the counting formula left no remainder."""
+    count, rem = divmod(total, denom)
+    assert rem == 0
+    return count
+
+
 def count_solutions_F(n: int) -> int:
-    total = Fraction(0)
+    total = 0
     for d in divisors(n):
         total += euler_phi(n // d) * binomial(2 * d, d)
-    total /= 2 * n
-    assert total.denominator == 1
-    return int(total)
+    return _exact_div(total, 2 * n)
 
 
 def additive_multiplet_count_g(n: int, size: int) -> int:
@@ -109,12 +113,10 @@ def additive_multiplet_count_g(n: int, size: int) -> int:
         raise ValueError("size must be >= 1")
     if n % size != 0 or (n - size) % 2 != 0:
         return 0
-    total = Fraction(0)
+    total = 0
     for d in divisors(size):
         total += ((-1) ** (size + d)) * mobius(size // d) * binomial(2 * d, d)
-    total *= Fraction(1 + (-1) ** (n - size), 4 * size * size)
-    assert total.denominator == 1
-    return int(total)
+    return _exact_div(total * (1 + (-1) ** (n - size)), 4 * size * size)
 
 
 def _split_prime_form(n: int):
@@ -131,7 +133,7 @@ def _split_prime_form(n: int):
 def supermultiplet_count(n: int) -> int:
     """Closed-form number of super-multiplets for N = p or 2p (p odd prime)."""
     p, doubled = _split_prime_form(n)
-    total = Fraction(count_solutions_F(n))
+    total = count_solutions_F(n)
     if not doubled:
         total += p - 1  # (p-1) copies of the single full-shift-invariant set
         for d in divisors(p - 1):
@@ -139,25 +141,26 @@ def supermultiplet_count(n: int) -> int:
                 continue
             m = (p - 1) // d
             total += euler_phi(d) * p * binomial(2 * m, m)
-        total /= p * (p - 1)
+        denom = p * (p - 1)
     else:
-        total += (p - 1) * 2  # the two alternating-support sets
+        # the odd-d terms are half-integers, so this branch sums each term doubled
+        total = 2 * total + 4 * (p - 1)  # the two alternating-support sets
         for d in divisors(p - 1):
             if d == 1:
                 continue
             m = (p - 1) // d
             if d == 2:
-                k = binomial(2 * p, p)
+                k2 = 2 * binomial(2 * p, p)
             elif d % 2 == 0:
-                k = 2 * p * binomial(4 * m, 2 * m) - (p - 1) * binomial(4 * m + 1, 2 * m + 1)
+                k2 = 2 * (2 * p * binomial(4 * m, 2 * m)
+                          - (p - 1) * binomial(4 * m + 1, 2 * m + 1))
             else:
-                k = Fraction(4 * p - 1, 2) * binomial(4 * m, 2 * m) \
-                    - (p - 1) * binomial(4 * m + 1, 2 * m + 1) \
-                    + Fraction(binomial(2 * m, m), 2)
-            total += euler_phi(d) * p * k
-        total /= 2 * p * (p - 1)
-    assert total.denominator == 1
-    return int(total)
+                k2 = (4 * p - 1) * binomial(4 * m, 2 * m) \
+                    - 2 * (p - 1) * binomial(4 * m + 1, 2 * m + 1) \
+                    + binomial(2 * m, m)
+            total += euler_phi(d) * p * k2
+        denom = 4 * p * (p - 1)  # twice the 2p(p-1) of the undoubled sum
+    return _exact_div(total, denom)
 
 
 def invariant_count_K(n: int, generator: GroupElement) -> int:
@@ -197,6 +200,4 @@ def count_super_orbits(n: int) -> int:
     """Super-multiplet count by averaging fixed-vector counts over the group."""
     group = [GroupElement(a, b) for a in range(n) for b in coprime_residues(n)]
     total = sum(_fixed_vector_count(n, g) for g in group)
-    count, rem = divmod(total, len(group))
-    assert rem == 0
-    return count
+    return _exact_div(total, len(group))

@@ -59,6 +59,72 @@ def test_no_command_is_usage_error(capsys):
     assert cli.main([]) == 2
 
 
+def _call(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, argparse exits included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_reused_parser_matches_fresh_calls(capsys, monkeypatch):
+    calls = [
+        ["coeff", "10", "0,0,1,1,1,1,3,7,8,8", "--format", "json", "--check"],
+        ["coeff", "10", "0,0,1,1,1,1,3,7,8,8", "--format", "json"],
+        ["expand", "5", "--include-zeros", "--format", "csv"],
+        ["expand", "5"],
+        ["coeff", "5"],  # argparse usage error
+        ["coeff", "5", "0,0,1,2,2"],
+        ["coeff", "5", "0,0,1,2,9"],  # UsageError
+        ["zeros", "6", "--format", "json"],
+        ["coeff", "--help"],
+        [],
+        ["verify", "3..4", "--suite", "lemmas"],
+        ["coeff", "6", "2,3,0,1,0,0", "--mult", "--format", "json"],
+    ]
+    alone = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        alone.append(_call(capsys, argv))
+    builds = [0]
+    original = cli.build_parser
+
+    def counting():
+        builds[0] += 1
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv, want in zip(calls, alone):
+        assert _call(capsys, argv) == want, argv
+    assert builds[0] == 1
+
+
+def test_coeff_reduces_once(capsys, monkeypatch):
+    calls = [0]
+    original = coeff_engine.reduce_representative
+
+    def counting(a):
+        calls[0] += 1
+        return original(a)
+
+    # partition sum at N = 16, then the residue-gate and all-equal paths,
+    # which report the same representative as the partition-sum path would
+    for n, text, path in ((16, "0,0,0,0,0,0,0,1,1,1,2,5,5,9,12,12", "partition-sum"),
+                          (5, "0,0,1,2,3", "residue-gate"), (4, "2,2,2,2", "all-equal")):
+        monkeypatch.setattr(coeff_engine, "reduce_representative", counting)
+        calls[0] = 0
+        code, out = run(capsys, "coeff", str(n), text, "--format", "json")
+        assert code == 0 and calls[0] == 1, (n, text, calls[0])
+        monkeypatch.setattr(coeff_engine, "reduce_representative", original)
+        rep, sign = original([int(t) for t in text.split(",")])
+        doc = json.loads(out)
+        assert doc["path"] == path
+        assert doc["representative"] == {"indices": list(rep), "sign": sign}
+
+
 def test_expand_json_round_trip(capsys):
     for n in range(2, 9):
         code, out = run(capsys, "expand", str(n), "--format", "json")
@@ -214,6 +280,17 @@ def test_console_script_subprocess():
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-3"
+
+
+def test_import_loads_no_oracles():
+    # only coeff --check and verify need the oracles, and with them fractions
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, circulant.cli\n"
+         "for name in ('circulant.oracles', 'fractions', 'decimal'):\n"
+         "    assert name not in sys.modules, name"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_import_needs_no_sympy():

@@ -1,6 +1,8 @@
 import cmath
 import math
 
+import pytest
+
 from circulant import oracles
 from circulant.coeff_engine import (coeff_theorem3, indices_from_multiplicities,
                                     multiplicities)
@@ -118,8 +120,11 @@ def test_series_identity_all_subsets_small():
 
 
 def test_series_identity_ignores_tail_multiplicity():
-    assert oracles.lemma1_check(8, (1, 3, 6), m1=0)
-    assert oracles.lemma1_check(8, (1, 3, 6), m1=4)
+    # the identity involves only N and the excluded values, not M1, so the
+    # check takes no tail multiplicity
+    assert oracles.lemma1_check(8, (1, 3, 6))
+    with pytest.raises(TypeError):
+        oracles.lemma1_check(8, (1, 3, 6), m1=4)
 
 
 def test_symmetric_sum_reduction():

@@ -4,6 +4,7 @@
 from hypothesis import given, settings, strategies as st
 
 from circulant import coeff_engine as ce, oracles
+from test_coeff_engine import _reduce_representative_by_search
 
 
 @st.composite
@@ -48,3 +49,9 @@ def test_group_action_covariance(a, data):
     image = ce.indices_from_multiplicities(tuple(m[p] for p in perm))
     assert image == tuple(sorted((mult * x + shift) % n for x in a))
     assert ce.coefficient(image) == sign * ce.coefficient(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_index_sets(10, 16))
+def test_reduce_representative_matches_search(a):
+    assert ce.reduce_representative(a) == _reduce_representative_by_search(a)

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from circulant import symmetry as sym
 from circulant.coeff_engine import coefficient, indices_from_multiplicities
+from circulant.exactmath import binomial, divisors, euler_phi, mobius
 
 F_TABLE = {3: 4, 4: 10, 5: 26, 6: 80, 7: 246, 8: 810, 9: 2704, 10: 9252,
            14: 1432860}
@@ -161,3 +163,58 @@ def test_fixed_vector_count_agrees_with_scan():
         for g in [sym.GroupElement(a, b) for a in range(n)
                   for b in sym.coprime_residues(n)]:
             assert sym._fixed_vector_count(n, g) == sym.invariant_count_K(n, g), (n, g)
+
+
+# The counting formulas as they were written with Fraction, kept as the
+# reference for the integer versions in the package.
+
+def _count_solutions_F_fraction(n):
+    total = Fraction(0)
+    for d in divisors(n):
+        total += euler_phi(n // d) * binomial(2 * d, d)
+    return total / (2 * n)
+
+
+def _additive_multiplet_count_g_fraction(n, size):
+    if n % size != 0 or (n - size) % 2 != 0:
+        return Fraction(0)
+    total = Fraction(0)
+    for d in divisors(size):
+        total += ((-1) ** (size + d)) * mobius(size // d) * binomial(2 * d, d)
+    return total * Fraction(1 + (-1) ** (n - size), 4 * size * size)
+
+
+def _supermultiplet_count_fraction(p, doubled):
+    n = 2 * p if doubled else p
+    total = _count_solutions_F_fraction(n)
+    if not doubled:
+        total += p - 1
+        for d in divisors(p - 1)[1:]:
+            m = (p - 1) // d
+            total += euler_phi(d) * p * binomial(2 * m, m)
+        return total / (p * (p - 1))
+    total += (p - 1) * 2
+    for d in divisors(p - 1)[1:]:
+        m = (p - 1) // d
+        if d == 2:
+            k = binomial(2 * p, p)
+        elif d % 2 == 0:
+            k = 2 * p * binomial(4 * m, 2 * m) - (p - 1) * binomial(4 * m + 1, 2 * m + 1)
+        else:
+            k = (Fraction(4 * p - 1, 2) * binomial(4 * m, 2 * m)
+                 - (p - 1) * binomial(4 * m + 1, 2 * m + 1)
+                 + Fraction(binomial(2 * m, m), 2))
+        total += euler_phi(d) * p * k
+    return total / (2 * p * (p - 1))
+
+
+def test_integer_counts_match_fraction_reference():
+    for n in range(2, 41):
+        assert sym.count_solutions_F(n) == _count_solutions_F_fraction(n), n
+        for size in range(1, n + 1):
+            assert (sym.additive_multiplet_count_g(n, size)
+                    == _additive_multiplet_count_g_fraction(n, size)), (n, size)
+    for p in (3, 5, 7, 11, 13, 17, 19):
+        for doubled in (False, True):
+            n = 2 * p if doubled else p
+            assert sym.supermultiplet_count(n) == _supermultiplet_count_fraction(p, doubled), n
