@@ -5,8 +5,8 @@
 # This module computes C_[a] by the closed-form partition sum, entirely in
 # integer arithmetic.
 
-import itertools
 import math
+from bisect import bisect_right
 from functools import lru_cache
 
 from .exactmath import binomial, factorial, mod_inverse
@@ -72,48 +72,63 @@ def _partition_sum(rest, n, m0, m1):
     with G_T[X] the sum of prod_q (-N)(z_q-1)! C(x_q+z_q-1, z_q-1) over the
     set partitions Q of T with sum_q x_q = X. G_T depends on T only through
     its content c, a count per distinct value of `rest`, and prod_v C(m_v, c_v)
-    labeled T have content c. G is built over the contents smallest first,
-    splitting off the part that holds one copy of the first value present in
-    c; X > M1 is dropped as it can only grow. Everything stays in integers.
+    labeled T have content c.
+
+    Only parts with x <= M1 can contribute, as X only grows; these live parts
+    are found once, from the sub-contents and their traces. G is built by
+    pushing forward from each content c with a nonzero row, smallest first:
+    a live part b extends c when c + b fits inside the counts and b's first
+    value is at most c's, so b is the part that holds the first copy of the
+    first value of c + b, and each partition is reached once. Its labels can
+    be chosen in prod_v C(c_v+b_v-d_v, b_v-d_v) ways, d_v = [v = first(b)].
+    Contents no partition into live parts reaches are never visited.
+    Everything stays in integers.
     """
     values = sorted(set(rest))
     counts = [rest.count(v) for v in values]
     p = len(rest)
     choose = [[binomial(k, j) for j in range(k + 1)] for k in range(max(counts, default=0) + 1)]
-    # lexicographic order: c - b comes before c whenever b is nonzero, and
-    # the position of c in it is linear in c, so c - b sits at pos(c) - pos(b)
-    contents = list(itertools.product(*(range(k + 1) for k in counts)))
-    # (x, weight, position) of one part with content b; None when x alone exceeds M1
-    part = {}
-    for i, b in enumerate(contents[1:], 1):
-        z = sum(b)
-        x = -sum(k * v for k, v in zip(b, values)) % n
-        part[b] = (x, -n * factorial(z - 1) * binomial(x + z - 1, z - 1), i) if x <= m1 else None
-    g = [[1] + [0] * m1]
+    # every sub-content with its trace, in lexicographic order: the position
+    # of a content is linear in it, so c + b sits at pos(c) + pos(b)
+    subs = [((), 0)]
+    for v, k in zip(values, counts):
+        subs = [(b + (j,), t + j * v) for b, t in subs for j in range(k + 1)]
+    # (first value, x, weight, support, position) of each live part, by first value
+    live = []
+    for j, (b, t) in enumerate(subs[1:], 1):
+        x = -t % n
+        if x <= m1:
+            z = sum(b)
+            support = [(v, k) for v, k in enumerate(b) if k]
+            live.append((support[0][0], x, -n * factorial(z - 1) * binomial(x + z - 1, z - 1),
+                         support, j))
+    live.sort(key=lambda part: part[0])
+    firsts = [part[0] for part in live]
+    g = {0: [1] + [0] * m1}
     total = 0
-    for i, c in enumerate(contents[1:], 1):
-        first = next(v for v, k in enumerate(c) if k)
-        # the first value present has its distinguished copy in the split-off part
-        ranges = [range(1, k + 1) if v == first else range(k + 1) for v, k in enumerate(c)]
-        row = [0] * (m1 + 1)
-        for b in itertools.product(*ranges):
-            if part[b] is None:
-                continue
-            x, w, j = part[b]
-            for v, (k, kb) in enumerate(zip(c, b)):
-                if kb:
-                    w *= choose[k - 1][kb - 1] if v == first else choose[k][kb]
-            rem = g[i - j]
-            for xsum in range(m1 + 1 - x):
-                if rem[xsum]:
-                    row[xsum + x] += w * rem[xsum]
-        g.append(row)
-        size = sum(c)
-        weight = factorial(p - size)
-        for k, kc in zip(counts, c):
-            weight *= choose[k][kc]
-        total += weight * sum(gx * binomial(n - m0 - 1 - xsum - size, m1 - xsum)
-                              for xsum, gx in enumerate(row) if gx)
+    for i, (c, _) in enumerate(subs):
+        rem = g.pop(i, None)
+        if rem is None or not any(rem):
+            continue
+        first = next((v for v, k in enumerate(c) if k), len(c))
+        if i:
+            size = sum(c)
+            weight = factorial(p - size)
+            for k, kc in zip(counts, c):
+                weight *= choose[k][kc]
+            total += weight * sum(gx * binomial(n - m0 - 1 - xsum - size, m1 - xsum)
+                                  for xsum, gx in enumerate(rem) if gx)
+        for f, x, w, support, j in live[:bisect_right(firsts, first)]:
+            for v, kb in support:
+                k = c[v] + kb
+                if k > counts[v]:
+                    break
+                w *= choose[k - 1][kb - 1] if v == f else choose[k][kb]
+            else:
+                row = g.setdefault(i + j, [0] * (m1 + 1))
+                for xsum in range(m1 + 1 - x):
+                    if rem[xsum]:
+                        row[xsum + x] += w * rem[xsum]
     return total
 
 

@@ -224,6 +224,33 @@ def leibniz_expansion(n: int, cap: int = 9):
     return {k: v for k, v in terms.items() if v}
 
 
+def circulant_det(x):
+    """Exact determinant of the circulant with first column x, by Bareiss.
+
+    Entry (r, c) is x_{(r-c) mod n}, as in leibniz_expansion. Fraction-free
+    elimination (E. H. Bareiss, Math. Comp. 22, 1968): every division is
+    exact, so the arithmetic stays in integers.
+    """
+    n = len(x)
+    if n < 1:
+        raise ValueError("need at least one entry")
+    a = [[x[(r - c) % n] for c in range(n)] for r in range(n)]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                a[r][c] = (a[r][c] * pivot - a[r][k] * a[k][c]) // prev
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
 def eigenvalue_det(x):
     """Floating determinant as the product of the circulant eigenvalues."""
     n = len(x)

@@ -28,13 +28,18 @@ def act(g: GroupElement, m):
 
 def valid_vectors(n: int):
     """All multiplicity vectors with sum N and weighted sum = 0 mod N."""
+    if n == 1:
+        return [(1,)]
     out = []
     vec = [0] * n
 
     def rec(pos, remaining, wsum):
-        if pos == n - 1:
-            vec[pos] = remaining
-            if (wsum + pos * remaining) % n == 0:
+        if pos == n - 2:
+            # with v here and the rest last, the gate reads
+            # wsum + (N-2)v + (N-1)(remaining-v) = 0, so v = wsum + (N-1)remaining mod N
+            for v in range((wsum + (n - 1) * remaining) % n, remaining + 1, n):
+                vec[pos] = v
+                vec[pos + 1] = remaining - v
                 out.append(tuple(vec))
             return
         for v in range(remaining + 1):

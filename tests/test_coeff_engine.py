@@ -3,6 +3,7 @@ import math
 import random
 
 from circulant import coeff_engine as ce, oracles
+from circulant.exactmath import binomial, factorial
 from circulant.symmetry import classify, valid_vectors
 
 # frozen values, each independently recomputable from the determinant itself
@@ -189,6 +190,88 @@ def test_reduce_representative_matches_search():
         for m in valid_vectors(n):
             a = ce.indices_from_multiplicities(m)
             assert ce.reduce_representative(a) == _reduce_representative_by_search(a), a
+
+
+# Reference: coeff_engine._partition_sum as a dense DP, which walks every
+# (content, part) pair and drops the parts with x > M1 one pair at a time.
+def _partition_sum_dense(rest, n, m0, m1):
+    """Sum over labeled set partitions P of `rest` of prod_parts (z-1)! * Lambda(P).
+
+    Lambda(P) sums, over the nonempty sets S of P's parts with sum_S x <= M1,
+    prod_S (-N) C(x+z-1, z-1) times C(N-M0-1-sum_S (x+z), M1-sum_S x), where a
+    part of size z and trace t has x = -t mod N. Swap the sums over P and S
+    and let T be the set of the p labels that S covers. The parts outside S
+    are any set partition of the other p-|T| labels, and the sum of
+    prod (z-1)! over the set partitions of an r-set is r! (permutations
+    counted by cycles), so
+
+        sum over nonempty T of (p-|T|)! sum_X G_T[X] C(N-M0-1-X-|T|, M1-X)
+
+    with G_T[X] the sum of prod_q (-N)(z_q-1)! C(x_q+z_q-1, z_q-1) over the
+    set partitions Q of T with sum_q x_q = X. G_T depends on T only through
+    its content c, a count per distinct value of `rest`, and prod_v C(m_v, c_v)
+    labeled T have content c. G is built over the contents smallest first,
+    splitting off the part that holds one copy of the first value present in
+    c; X > M1 is dropped as it can only grow. Everything stays in integers.
+    """
+    values = sorted(set(rest))
+    counts = [rest.count(v) for v in values]
+    p = len(rest)
+    choose = [[binomial(k, j) for j in range(k + 1)] for k in range(max(counts, default=0) + 1)]
+    # lexicographic order: c - b comes before c whenever b is nonzero, and
+    # the position of c in it is linear in c, so c - b sits at pos(c) - pos(b)
+    contents = list(itertools.product(*(range(k + 1) for k in counts)))
+    # (x, weight, position) of one part with content b; None when x alone exceeds M1
+    part = {}
+    for i, b in enumerate(contents[1:], 1):
+        z = sum(b)
+        x = -sum(k * v for k, v in zip(b, values)) % n
+        part[b] = (x, -n * factorial(z - 1) * binomial(x + z - 1, z - 1), i) if x <= m1 else None
+    g = [[1] + [0] * m1]
+    total = 0
+    for i, c in enumerate(contents[1:], 1):
+        first = next(v for v, k in enumerate(c) if k)
+        # the first value present has its distinguished copy in the split-off part
+        ranges = [range(1, k + 1) if v == first else range(k + 1) for v, k in enumerate(c)]
+        row = [0] * (m1 + 1)
+        for b in itertools.product(*ranges):
+            if part[b] is None:
+                continue
+            x, w, j = part[b]
+            for v, (k, kb) in enumerate(zip(c, b)):
+                if kb:
+                    w *= choose[k - 1][kb - 1] if v == first else choose[k][kb]
+            rem = g[i - j]
+            for xsum in range(m1 + 1 - x):
+                if rem[xsum]:
+                    row[xsum + x] += w * rem[xsum]
+        g.append(row)
+        size = sum(c)
+        weight = factorial(p - size)
+        for k, kc in zip(counts, c):
+            weight *= choose[k][kc]
+        total += weight * sum(gx * binomial(n - m0 - 1 - xsum - size, m1 - xsum)
+                              for xsum, gx in enumerate(row) if gx)
+    return total
+
+
+def test_partition_sum_edge_cases():
+    # (rest, N, M0, M1, the value, or None where it is only known to be nonzero)
+    cases = [
+        ((), 5, 1, 2, 0),               # no labels, no nonempty T
+        ((), 16, 0, 0, 0),
+        ((3,), 16, 4, 0, 0),            # x = 13 > M1: no live part
+        ((3, 5), 16, 2, 1, 0),          # traces 3, 5, 8 give x = 13, 11, 8 > M1
+        # M1 = 0: only {3, 7} is live (x = 0, z = 2, weight -10), and it is
+        # the whole T: 0! * -10 * C(10-5-1-2, 0)
+        ((3, 7), 10, 5, 0, -10),
+        ((2, 2, 4, 4), 6, 0, 0, None),  # M1 = 0 with repeats: {2, 4} and {2, 2, 4, 4}
+        ((5, 5, 5), 15, 2, 0, None),
+    ]
+    for rest, n, m0, m1, want in cases:
+        got = ce._partition_sum(rest, n, m0, m1)
+        assert got == _partition_sum_dense(rest, n, m0, m1), (rest, n, m0, m1)
+        assert got == want if want is not None else got != 0, (rest, n, m0, m1)
 
 
 def test_reduce_representative_preserves_value():

@@ -74,3 +74,15 @@ def test_polynomial_equality_ignores_stored_zeros():
     a = ExpansionPolynomial(3, {(3, 0, 0): 1, (1, 1, 1): -3})
     b = ExpansionPolynomial(3, {(3, 0, 0): 1, (1, 1, 1): -3, (0, 3, 0): 0})
     assert a == b
+
+
+def test_expansion_matches_exact_determinant():
+    # Schwartz-Zippel: a wrong expansion differs from the determinant by a
+    # nonzero polynomial of degree N, which vanishes at a random point with
+    # entries near 2^61 with probability at most about N / 2^62
+    rng = random.Random(61)
+    for n in range(2, expansion.MAX_N + 1):
+        poly = expand(n)
+        for _ in range(2):
+            x = [(1 << 61) + rng.randrange(-(1 << 60), 1 << 60) for _ in range(n)]
+            assert evaluate(poly, x) == oracles.circulant_det(x), n

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 
@@ -142,3 +143,20 @@ def test_theorem2_worked_example():
     for c in m:
         total //= math.factorial(c)
     assert sum(counts) == total
+
+
+def test_circulant_det_matches_permutation_sum():
+    rng = random.Random(5)
+    for n in range(1, 8):
+        terms = oracles.leibniz_expansion(n)
+        # small entries, so zero pivots and row swaps come up
+        for _ in range(30):
+            x = [rng.randint(-2, 2) for _ in range(n)]
+            want = sum(c * math.prod(x[v] ** k for v, k in enumerate(key))
+                       for key, c in terms.items())
+            assert oracles.circulant_det(x) == want, x
+    assert oracles.circulant_det([1, 2, 3, 4]) == -160
+    assert oracles.circulant_det([0, 1, 0]) == 1
+    assert oracles.circulant_det([0, 0, 0, 0]) == 0
+    with pytest.raises(ValueError):
+        oracles.circulant_det([])

@@ -4,7 +4,7 @@
 from hypothesis import given, settings, strategies as st
 
 from circulant import coeff_engine as ce, oracles
-from test_coeff_engine import _reduce_representative_by_search
+from test_coeff_engine import _partition_sum_dense, _reduce_representative_by_search
 
 
 @st.composite
@@ -55,3 +55,26 @@ def test_group_action_covariance(a, data):
 @given(valid_index_sets(10, 16))
 def test_reduce_representative_matches_search(a):
     assert ce.reduce_representative(a) == _reduce_representative_by_search(a)
+
+
+@st.composite
+def partition_sum_args(draw):
+    """(rest, N, M0, M1) that leave room for the pinned index:
+    M0 + M1 + |rest| + 1 <= N.
+
+    Up to 8 indices in `rest`, each from 2..N-1, and M1 from all the room
+    left, so large M1, where few parts are pruned, comes up as well as the
+    small M1 of reduced index sets.
+    """
+    n = draw(st.integers(3, 16))
+    rest = draw(st.lists(st.integers(2, n - 1), max_size=min(8, n - 1)))
+    room = n - 1 - len(rest)
+    m1 = draw(st.integers(0, room))
+    m0 = draw(st.integers(0, room - m1))
+    return tuple(sorted(rest)), n, m0, m1
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_sum_args())
+def test_partition_sum_matches_dense_dp(args):
+    assert ce._partition_sum(*args) == _partition_sum_dense(*args)
