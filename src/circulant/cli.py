@@ -251,6 +251,23 @@ def _verify_symmetry(lo, hi):
     return None
 
 
+def _verify_determinant(lo, hi):
+    # a wrong expansion differs from the determinant by a nonzero polynomial
+    # of degree N, which vanishes at a random point with entries near 2^61
+    # with probability at most about N / 2^62 (Schwartz-Zippel)
+    import random
+
+    from . import oracles
+    for n in range(lo, hi + 1):
+        poly = expansion.expand(n)
+        rng = random.Random(n)  # the points of N do not depend on the range
+        for _ in range(2):
+            x = [(1 << 61) + rng.randrange(-(1 << 60), 1 << 60) for _ in range(n)]
+            if expansion.evaluate(poly, x) != oracles.circulant_det(x):
+                return "expansion differs from the determinant at N=%d x=%s" % (n, x)
+    return None
+
+
 def _verify_counting(lo, hi):
     for n in range(lo, hi + 1):
         if symmetry.count_solutions_F(n) != len(symmetry.valid_vectors(n)):
@@ -265,6 +282,7 @@ SUITES = {
     "lemmas": (_verify_lemmas, 3, 8),
     "symmetry": (_verify_symmetry, 2, 7),
     "counting": (_verify_counting, 2, 10),
+    "determinant": (_verify_determinant, 2, expansion.MAX_N),
 }
 
 

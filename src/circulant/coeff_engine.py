@@ -8,6 +8,7 @@
 import math
 from bisect import bisect_right
 from functools import lru_cache
+from operator import itemgetter
 
 from .exactmath import binomial, factorial, mod_inverse
 
@@ -200,14 +201,25 @@ def group_action(n: int, shift: int, mult: int):
     return perm, -1 if (shift * (n - 1)) % 2 else 1
 
 
+def gather(perm):
+    """The map m -> tuple(m[p] for p in perm), built in C by itemgetter.
+
+    itemgetter of one index returns a scalar; the one permutation of one
+    position is the identity, so `tuple` stands in for it.
+    """
+    return itemgetter(*perm) if len(perm) > 1 else tuple
+
+
 @lru_cache(maxsize=None)
 def group_table(n: int, shifts_only: bool = False):
-    """group_action (perm, sign) of every shift and every coprime multiplier.
+    """(perm, sign, gather(perm)) of group_action for every shift and every
+    coprime multiplier.
 
     With shifts_only the table is the shift subgroup (mult = 1) alone.
     """
     mults = [1] if shifts_only else coprime_residues(n)
-    return tuple(group_action(n, shift, mult) for shift in range(n) for mult in mults)
+    actions = (group_action(n, shift, mult) for shift in range(n) for mult in mults)
+    return tuple((perm, sign, gather(perm)) for perm, sign in actions)
 
 
 def reduce_representative(a):
@@ -226,10 +238,10 @@ def reduce_representative(a):
     # The first two fields read only an image's entries 0 and 1, so they are
     # ranked as one integer (M0+M1 first, then fewer 1s, as M1 <= N), and
     # whole images are built only for the elements that reach the top
-    heads = [(m[perm[0]] + m[perm[1]]) * (n + 1) - m[perm[1]] for perm, _ in table]
+    heads = [(m[perm[0]] + m[perm[1]]) * (n + 1) - m[perm[1]] for perm, _, _ in table]
     top = max(heads)
-    images = ((tuple(m[p] for p in perm), sign)
-              for (perm, sign), head in zip(table, heads) if head == top)
+    images = ((image(m), sign)
+              for (_, sign, image), head in zip(table, heads) if head == top)
     image, sign = max(images, key=lambda t: t[0])
     return indices_from_multiplicities(image), sign
 

@@ -45,7 +45,8 @@ def _expand_cached(n):
     """One coefficient per super multiplet; its members follow by sign.
 
     The only place an expansion's orbits are evaluated; `coefficient`
-    reduces each representative to its orbit's cheapest member first.
+    reduces each representative to its orbit's cheapest member first. The
+    orbits come from symmetry.orbits, the walk `classify` also reads.
     """
     terms = {}
     for rec in symmetry.orbits(n):

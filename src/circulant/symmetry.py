@@ -2,6 +2,7 @@
 # classification, and the orbit-counting formulas.
 
 from collections import namedtuple
+from functools import lru_cache
 
 from . import coeff_engine
 from .coeff_engine import coprime_residues
@@ -69,33 +70,53 @@ def _multiplet(kind, m, table):
         raise ValueError("multiplicities must sum to the dimension")
     signs = {m: 1}
     conflict = False
-    for perm, sign in table:
-        if signs.setdefault(tuple(m[p] for p in perm), sign) != sign:
+    for _, sign, image in table:
+        if signs.setdefault(image(m), sign) != sign:
             conflict = True
     rep = min(signs)
     rep_sign = signs[rep]
-    members = sorted((vec, 1 if conflict else sign * rep_sign)
-                     for vec, sign in signs.items())
+    members = tuple(sorted((vec, 1 if conflict else sign * rep_sign)
+                           for vec, sign in signs.items()))
     return MultipletRecord(kind, rep, len(members), members, conflict)
 
 
-def orbits(n: int, shifts_only: bool = False):
-    """The orbits of the valid vectors under group_table(n, shifts_only),
-    additive or super multiplets, in order of their first valid vector."""
-    build = additive_multiplet if shifts_only else super_multiplet
+@lru_cache(maxsize=32)
+def orbits(n: int):
+    """The super multiplets of the valid vectors, in order of their first
+    valid vector: the one walk over valid_vectors(n), shared by classify
+    and expansion.expand. Every caller gets the same records, so their
+    members are tuples."""
     seen = set()
+    out = []
     for m in valid_vectors(n):
         if m not in seen:
-            rec = build(m)
+            rec = super_multiplet(m)
             seen.update(vec for vec, _ in rec.members)
-            yield rec
+            out.append(rec)
+    return tuple(out)
 
 
 def classify(n: int):
-    """Every valid vector grouped into one additive and one super multiplet."""
+    """Every valid vector grouped into one additive and one super multiplet.
+
+    Each additive orbit lies inside one super orbit; it is built from its
+    smallest member, the first of the super record's sorted members that
+    no earlier additive orbit holds. Sorting by representative puts the
+    additive orbits in order of their first valid vector.
+    """
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    return list(orbits(n, shifts_only=True)) + list(orbits(n))
+    supers = orbits(n)
+    additive = []
+    for rec in supers:
+        seen = set()
+        for vec, _ in rec.members:
+            if vec not in seen:
+                sub = additive_multiplet(vec)
+                seen.update(member for member, _ in sub.members)
+                additive.append(sub)
+    additive.sort(key=lambda r: r.representative)
+    return additive + list(supers)
 
 
 def _exact_div(total: int, denom: int) -> int:
@@ -170,7 +191,9 @@ def supermultiplet_count(n: int) -> int:
 
 def invariant_count_K(n: int, generator: GroupElement) -> int:
     """Number of valid vectors fixed by the cyclic subgroup of the generator."""
-    return sum(1 for m in valid_vectors(n) if act(generator, m) == m)
+    perm, _ = coeff_engine.group_action(n, generator.shift, generator.mult)
+    image = coeff_engine.gather(perm)
+    return sum(1 for m in valid_vectors(n) if image(m) == m)
 
 
 def _fixed_vector_count(n: int, g: GroupElement) -> int:

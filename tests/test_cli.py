@@ -205,6 +205,30 @@ def test_one_evaluation_per_super_orbit(capsys, monkeypatch):
     assert 0 < calls[0] <= 3, calls[0]
 
 
+def test_one_walk_per_dimension(capsys, monkeypatch):
+    # multiplets 8 walks the valid vectors once and builds each of its 49
+    # super orbits once; expand 8 then evaluates from that same walk
+    counts = {"valid_vectors": 0, "super_multiplet": 0}
+
+    def counting(name):
+        original = getattr(symmetry, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(symmetry, name, counting(name))
+    symmetry.orbits.cache_clear()
+    expansion._expand_cached.cache_clear()
+    assert run(capsys, "multiplets", "8")[0] == 0
+    assert counts == {"valid_vectors": 1, "super_multiplet": 49}
+    expansion._expand_cached.cache_clear()
+    assert run(capsys, "expand", "8")[0] == 0
+    assert counts == {"valid_vectors": 1, "super_multiplet": 49}
+
+
 def test_zeros_counts(capsys):
     code, out = run(capsys, "zeros", "6", "--format", "json")
     assert code == 0
@@ -234,8 +258,31 @@ def test_verify_pass(capsys):
     code, out = run(capsys, "verify", "3..5")
     assert code == 0
     assert "FAIL" not in out
-    for name in ("oracle", "identities", "lemmas", "symmetry", "counting"):
+    for name in ("oracle", "identities", "lemmas", "symmetry", "counting", "determinant"):
         assert "%s: pass" % name in out
+
+
+def test_verify_determinant_suite(capsys):
+    code, out = run(capsys, "verify", "2..12", "--suite", "determinant")
+    assert code == 0
+    assert out.strip() == "determinant: pass"
+
+
+def test_verify_determinant_catches_one_wrong_coefficient(capsys, monkeypatch):
+    # off by one at a single super-orbit representative of N = 6
+    original = coeff_engine.coeff_theorem3
+
+    def off_by_one(a):
+        return original(a) + (tuple(a) == (0, 0, 0, 1, 2, 3))
+
+    monkeypatch.setattr(coeff_engine, "coeff_theorem3", off_by_one)
+    expansion._expand_cached.cache_clear()
+    try:
+        code, out = run(capsys, "verify", "6", "--suite", "determinant")
+    finally:
+        expansion._expand_cached.cache_clear()
+    assert code == 1
+    assert out.startswith("determinant: FAIL (expansion differs from the determinant at N=6")
 
 
 def test_verify_single_suite(capsys):
@@ -261,6 +308,7 @@ def test_verify_skips_suites_outside_range(capsys):
     code, out = run(capsys, "verify", "10")
     assert code == 0
     assert "counting: pass" in out
+    assert "determinant: pass" in out
     for name in ("oracle", "identities", "lemmas", "symmetry"):
         assert "%s: skip" % name in out
 

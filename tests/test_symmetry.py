@@ -218,3 +218,42 @@ def test_integer_counts_match_fraction_reference():
         for doubled in (False, True):
             n = 2 * p if doubled else p
             assert sym.supermultiplet_count(n) == _supermultiplet_count_fraction(p, doubled), n
+
+
+# classify as it was when it walked the valid vectors once per multiplet
+# kind, kept as the reference for splitting the additive orbits from the
+# one super-orbit walk.
+
+def _orbits_by_walk(n, shifts_only=False):
+    """The orbits of the valid vectors under group_table(n, shifts_only),
+    additive or super multiplets, in order of their first valid vector."""
+    build = sym.additive_multiplet if shifts_only else sym.super_multiplet
+    seen = set()
+    for m in sym.valid_vectors(n):
+        if m not in seen:
+            rec = build(m)
+            seen.update(vec for vec, _ in rec.members)
+            yield rec
+
+
+def _classify_by_two_walks(n):
+    """Every valid vector grouped into one additive and one super multiplet."""
+    if n < 2:
+        raise ValueError("dimension must be >= 2")
+    return list(_orbits_by_walk(n, shifts_only=True)) + list(_orbits_by_walk(n))
+
+
+def test_classify_matches_two_walks():
+    for n in range(2, 11):
+        got, want = sym.classify(n), _classify_by_two_walks(n)
+        assert len(got) == len(want), n
+        for rec, ref in zip(got, want):
+            for field in sym.MultipletRecord._fields:
+                assert getattr(rec, field) == getattr(ref, field), (n, field, ref)
+
+
+def test_single_index_multiplets():
+    # the one permutation of one position is gathered without itemgetter,
+    # which would return the entry itself rather than a 1-tuple
+    for build, kind in ((sym.super_multiplet, "super"), (sym.additive_multiplet, "additive")):
+        assert build((1,)) == sym.MultipletRecord(kind, (1,), 1, (((1,), 1),), False)
