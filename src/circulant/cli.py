@@ -122,7 +122,16 @@ def cmd_multiplets(args):
     if args.N < 2 or args.N > expansion.MAX_N:
         raise UsageError("N out of range")
     records = symmetry.classify(args.N)
-    values = expansion.expand(args.N).all_terms
+    orbit_values = dict(expansion.orbit_values(args.N))
+    reps = {rec.representative for rec in records}
+    values = {}
+    for rec in records:
+        if rec.kind == "super":
+            # the largest member is the orbit's canonical vector; a member's
+            # sign relates its value to the representative's
+            canonical, sign = rec.members[-1]
+            value = sign * orbit_values[canonical]
+            values.update((vec, s * value) for vec, s in rec.members if vec in reps)
     rows = [{"kind": rec.kind,
              "representative": "".join(str(c) for c in rec.representative),
              "n": rec.n,

@@ -40,11 +40,6 @@ def indices_from_multiplicities(m):
     return tuple(out)
 
 
-def satisfies_condition_8(a) -> bool:
-    a = as_index_set(a)
-    return sum(a) % len(a) == 0
-
-
 def coeff_all_equal(value: int, n: int) -> int:
     """Coefficient of x_value^N: (-1)^(value*(N-1))."""
     return -1 if (value * (n - 1)) % 2 else 1

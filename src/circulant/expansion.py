@@ -12,13 +12,15 @@ class ExpansionPolynomial:
     """Sparse polynomial keyed by multiplicity vectors.
 
     Zero coefficients are kept in `all_terms` (so zero detection stays
-    testable) and dropped from `terms`.
+    testable) and dropped from `terms`. The polynomial keeps the dict it is
+    given as `all_terms`; `terms` is that same dict when no value is zero.
     """
 
     def __init__(self, n, all_terms):
         self.n = n
-        self.all_terms = dict(all_terms)
-        self.terms = {k: v for k, v in self.all_terms.items() if v}
+        self.all_terms = all_terms
+        self.terms = ({k: v for k, v in all_terms.items() if v}
+                      if 0 in all_terms.values() else all_terms)
 
     def coefficient(self, key):
         return self.all_terms.get(tuple(key), 0)
@@ -34,29 +36,43 @@ class ExpansionPolynomial:
                 and self.n == other.n and self.terms == other.terms)
 
 
-def expand(n: int) -> ExpansionPolynomial:
+def _check_dimension(n):
     if n < 2 or n > MAX_N:
         raise ValueError("dimension must be in [2, %d]" % MAX_N)
+
+
+def expand(n: int) -> ExpansionPolynomial:
+    """Every coefficient, filled in from the orbit values by one pass over
+    the group per super orbit: the image of the canonical vector under
+    x -> b*x + k carries the group element's sign times its value."""
+    _check_dimension(n)
+    table = coeff_engine.group_table(n)
+    terms = {}
+    for m, value in _expand_cached(n):
+        for _, sign, image in table:
+            signed = sign * value
+            # an image reached with both signs must have value 0
+            got = terms.setdefault(image(m), signed)
+            assert got == signed, "sign-conflicted orbit must carry a zero coefficient"
+    return ExpansionPolynomial(n, terms)
+
+
+def orbit_values(n: int):
+    """(canonical vector, coefficient) for every super orbit of dimension n,
+    in lexicographic order of the canonical vectors."""
+    _check_dimension(n)
     return _expand_cached(n)
 
 
 @lru_cache(maxsize=32)
 def _expand_cached(n):
-    """One coefficient per super multiplet; its members follow by sign.
+    """One coefficient per super orbit, at its canonical vector.
 
     The only place an expansion's orbits are evaluated; `coefficient`
-    reduces each representative to its orbit's cheapest member first. The
-    orbits come from symmetry.orbits, the walk `classify` also reads.
+    reduces each vector to its orbit's cheapest member first.
     """
-    terms = {}
-    for rec in symmetry.orbits(n):
-        value = coeff_engine.coefficient(
-            coeff_engine.indices_from_multiplicities(rec.representative))
-        if rec.conflict:
-            assert value == 0, "sign-conflicted orbit must carry a zero coefficient"
-        for vec, sign in rec.members:
-            terms[vec] = sign * value
-    return ExpansionPolynomial(n, terms)
+    return tuple((m, coeff_engine.coefficient(coeff_engine.indices_from_multiplicities(m)))
+                 for m in symmetry.canonical_vectors(n))
 
 
 def evaluate(poly: ExpansionPolynomial, x) -> int:

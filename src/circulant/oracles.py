@@ -9,9 +9,27 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from .coeff_engine import _shape, as_index_set, coeff_all_equal, multiplicities
+from .coeff_engine import _shape, as_index_set, coeff_all_equal, group_action, multiplicities
 from .exactmath import binomial, divisors, factorial, mobius
 from .partitions import multiset_partitions
+from .symmetry import GroupElement
+
+
+def satisfies_condition_8(a) -> bool:
+    """The residue gate: the indices sum to 0 mod N."""
+    a = as_index_set(a)
+    return sum(a) % len(a) == 0
+
+
+def compose(g: GroupElement, h: GroupElement, n: int) -> GroupElement:
+    """The element acting as h first and then g."""
+    return GroupElement((g.mult * h.shift + g.shift) % n, (g.mult * h.mult) % n)
+
+
+def act(g: GroupElement, m):
+    """Apply the index map x -> mult*x + shift to the multiplicity vector m."""
+    perm, _ = group_action(len(m), g.shift, g.mult)
+    return tuple(m[p] for p in perm)
 
 
 def _next_permutation(seq) -> bool:

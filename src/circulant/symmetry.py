@@ -11,44 +11,67 @@ from .exactmath import binomial, divisors, euler_phi, mobius, prime_factors
 GroupElement = namedtuple("GroupElement", ["shift", "mult"])
 
 # orbit of the shift group (additive) or of the whole group (super); no
-# coefficient is computed here, expansion.expand supplies the values
+# coefficient is computed here, the expansion module supplies the values
 MultipletRecord = namedtuple(
     "MultipletRecord", ["kind", "representative", "n", "members", "conflict"])
 
 
-def compose(g: GroupElement, h: GroupElement, n: int) -> GroupElement:
-    """The element acting as h first and then g."""
-    return GroupElement((g.mult * h.shift + g.shift) % n, (g.mult * h.mult) % n)
+def _vectors(n: int, top=None):
+    """Yield the multiplicity vectors with sum N and weighted sum = 0 mod N,
+    in lexicographic order, from one residue-solved recursion.
 
+    With `top`, only those whose entry 0 is `top` and whose every entry is
+    at most `top`.
+    """
+    if n == 1:
+        if top in (None, 1):
+            yield (1,)
+        return
+    cap = n if top is None else top
+    vec = [0] * n
 
-def act(g: GroupElement, m):
-    """Apply the index map x -> mult*x + shift to the multiplicity vector m."""
-    perm, _ = coeff_engine.group_action(len(m), g.shift, g.mult)
-    return tuple(m[p] for p in perm)
+    def rec(pos, remaining, wsum, lo):
+        if pos == n - 2:
+            # with v here and the rest last, the gate reads
+            # wsum + (N-2)v + (N-1)(remaining-v) = 0, so v = wsum + (N-1)remaining
+            # mod N; v >= lo keeps the last entry, remaining - v, at most cap
+            for v in range(lo + (wsum + (n - 1) * remaining - lo) % n,
+                           (cap if cap < remaining else remaining) + 1, n):
+                vec[pos] = v
+                vec[pos + 1] = remaining - v
+                yield tuple(vec)
+            return
+        room = cap * (n - 2 - pos)  # the most the positions after the next can hold
+        for v in range(lo, (cap if cap < remaining else remaining) + 1):
+            vec[pos] = v
+            rest = remaining - v
+            if rest:
+                yield from rec(pos + 1, rest, wsum + pos * v, rest - room if rest > room else 0)
+            elif (wsum + pos * v) % n == 0:
+                # the mass is used up, so every later entry is 0
+                yield tuple(vec[:pos + 1]) + (0,) * (n - 1 - pos)
+
+    yield from rec(0, n, 0, 0 if top is None else top)
 
 
 def valid_vectors(n: int):
     """All multiplicity vectors with sum N and weighted sum = 0 mod N."""
-    if n == 1:
-        return [(1,)]
-    out = []
-    vec = [0] * n
+    return list(_vectors(n))
 
-    def rec(pos, remaining, wsum):
-        if pos == n - 2:
-            # with v here and the rest last, the gate reads
-            # wsum + (N-2)v + (N-1)(remaining-v) = 0, so v = wsum + (N-1)remaining mod N
-            for v in range((wsum + (n - 1) * remaining) % n, remaining + 1, n):
-                vec[pos] = v
-                vec[pos + 1] = remaining - v
-                out.append(tuple(vec))
-            return
-        for v in range(remaining + 1):
-            vec[pos] = v
-            rec(pos + 1, remaining - v, wsum + pos * v)
 
-    rec(0, n, 0)
-    return out
+@lru_cache(maxsize=32)
+def canonical_vectors(n: int):
+    """The lexicographically largest member of every super orbit, in
+    lexicographic order.
+
+    A shift moves any entry to position 0, so each orbit's largest member
+    has its largest entry there: only the valid vectors with every entry at
+    most entry 0 are generated, and one is kept when no group image of it
+    is larger (orderly generation; R. C. Read, Ann. Discrete Math. 2, 1978).
+    """
+    table = coeff_engine.group_table(n)
+    return tuple(m for top in range(1, n + 1) for m in _vectors(n, top)
+                 if all(image(m) <= m for _, _, image in table))
 
 
 def additive_multiplet(m) -> MultipletRecord:
@@ -80,20 +103,10 @@ def _multiplet(kind, m, table):
     return MultipletRecord(kind, rep, len(members), members, conflict)
 
 
-@lru_cache(maxsize=32)
 def orbits(n: int):
     """The super multiplets of the valid vectors, in order of their first
-    valid vector: the one walk over valid_vectors(n), shared by classify
-    and expansion.expand. Every caller gets the same records, so their
-    members are tuples."""
-    seen = set()
-    out = []
-    for m in valid_vectors(n):
-        if m not in seen:
-            rec = super_multiplet(m)
-            seen.update(vec for vec, _ in rec.members)
-            out.append(rec)
-    return tuple(out)
+    valid vector, each built from its orbit's canonical vector."""
+    return sorted(map(super_multiplet, canonical_vectors(n)), key=lambda r: r.representative)
 
 
 def classify(n: int):
@@ -116,7 +129,7 @@ def classify(n: int):
                 seen.update(member for member, _ in sub.members)
                 additive.append(sub)
     additive.sort(key=lambda r: r.representative)
-    return additive + list(supers)
+    return additive + supers
 
 
 def _exact_div(total: int, denom: int) -> int:
@@ -193,7 +206,7 @@ def invariant_count_K(n: int, generator: GroupElement) -> int:
     """Number of valid vectors fixed by the cyclic subgroup of the generator."""
     perm, _ = coeff_engine.group_action(n, generator.shift, generator.mult)
     image = coeff_engine.gather(perm)
-    return sum(1 for m in valid_vectors(n) if image(m) == m)
+    return sum(1 for m in _vectors(n) if image(m) == m)
 
 
 def _fixed_vector_count(n: int, g: GroupElement) -> int:

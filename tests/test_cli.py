@@ -206,8 +206,10 @@ def test_one_evaluation_per_super_orbit(capsys, monkeypatch):
 
 
 def test_one_walk_per_dimension(capsys, monkeypatch):
-    # multiplets 8 walks the valid vectors once and builds each of its 49
-    # super orbits once; expand 8 then evaluates from that same walk
+    # multiplets 8 generates the 49 canonical vectors once and builds each
+    # super orbit once from them; expand 8 then evaluates from the same
+    # canonical vectors and builds no orbit record. Neither walks the valid
+    # vectors.
     counts = {"valid_vectors": 0, "super_multiplet": 0}
 
     def counting(name):
@@ -220,13 +222,14 @@ def test_one_walk_per_dimension(capsys, monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(symmetry, name, counting(name))
-    symmetry.orbits.cache_clear()
+    symmetry.canonical_vectors.cache_clear()
     expansion._expand_cached.cache_clear()
     assert run(capsys, "multiplets", "8")[0] == 0
-    assert counts == {"valid_vectors": 1, "super_multiplet": 49}
+    assert counts == {"valid_vectors": 0, "super_multiplet": 49}
     expansion._expand_cached.cache_clear()
     assert run(capsys, "expand", "8")[0] == 0
-    assert counts == {"valid_vectors": 1, "super_multiplet": 49}
+    assert counts == {"valid_vectors": 0, "super_multiplet": 49}
+    assert symmetry.canonical_vectors.cache_info().misses == 1
 
 
 def test_zeros_counts(capsys):

@@ -29,8 +29,8 @@ def test_known_coefficients():
 
 def test_residue_gate():
     assert ce.coefficient([0, 0, 1]) == 0
-    assert not ce.satisfies_condition_8([0, 0, 1])
-    assert ce.satisfies_condition_8([0, 1, 2])
+    assert not oracles.satisfies_condition_8([0, 0, 1])
+    assert oracles.satisfies_condition_8([0, 1, 2])
 
 
 def test_all_equal_sign():

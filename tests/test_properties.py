@@ -78,3 +78,26 @@ def partition_sum_args(draw):
 @given(partition_sum_args())
 def test_partition_sum_matches_dense_dp(args):
     assert ce._partition_sum(*args) == _partition_sum_dense(*args)
+
+
+@st.composite
+def off_gate_index_sets(draw):
+    """Sorted index sets of length N = 3..16 whose sum is not 0 mod N."""
+    n = draw(st.integers(3, 16))
+    head = draw(st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1))
+    last = draw(st.integers(0, n - 2))
+    # the last index takes every residue except the one that closes the gate
+    return tuple(sorted(head + [(last - sum(head) + 1) % n]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(off_gate_index_sets())
+def test_off_gate_coefficient_is_zero(a):
+    assert sum(a) % len(a)
+    assert ce.coefficient(a) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_index_sets(3, 16))
+def test_divisibility_bound_divides_coefficient(a):
+    assert ce.coefficient(a) % ce.divisibility_bound(a) == 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from circulant import symmetry as sym
+from circulant import oracles, symmetry as sym
 from circulant.coeff_engine import coefficient, indices_from_multiplicities
 from circulant.exactmath import binomial, divisors, euler_phi, mobius
 
@@ -32,7 +32,7 @@ def test_act_example():
     # multiply indices by 9 then shift by 1 at N=10
     m = (2, 4, 0, 1, 0, 0, 0, 1, 2, 0)       # indices 0011113788
     want = (4, 2, 0, 2, 1, 0, 0, 0, 1, 0)    # indices 0000113348
-    assert sym.act(sym.GroupElement(1, 9), m) == want
+    assert oracles.act(sym.GroupElement(1, 9), m) == want
 
 
 def test_act_is_group_action():
@@ -40,10 +40,10 @@ def test_act_is_group_action():
     m = (2, 2, 1, 0, 0, 2, 0, 1)
     g = sym.GroupElement(3, 5)
     h = sym.GroupElement(6, 3)
-    assert sym.act(g, sym.act(h, m)) == sym.act(sym.compose(g, h, n), m)
+    assert oracles.act(g, oracles.act(h, m)) == oracles.act(oracles.compose(g, h, n), m)
     g, h = sym.GroupElement(1, 3), sym.GroupElement(1, 1)
-    assert sym.act(g, sym.act(h, m)) == sym.act(sym.compose(g, h, n), m)
-    assert sym.act(sym.GroupElement(0, 1), m) == m
+    assert oracles.act(g, oracles.act(h, m)) == oracles.act(oracles.compose(g, h, n), m)
+    assert oracles.act(sym.GroupElement(0, 1), m) == m
 
 
 def test_orbits_partition_the_solution_set():
@@ -257,3 +257,16 @@ def test_single_index_multiplets():
     # which would return the entry itself rather than a 1-tuple
     for build, kind in ((sym.super_multiplet, "super"), (sym.additive_multiplet, "additive")):
         assert build((1,)) == sym.MultipletRecord(kind, (1,), 1, (((1,), 1),), False)
+
+
+def test_canonical_vectors_are_largest_members():
+    # the walk's orbits, each by its largest member, against the generator
+    assert sym.canonical_vectors(1) == ((1,),)
+    for n in range(2, 12):
+        want = sorted(max(vec for vec, _ in rec.members) for rec in _orbits_by_walk(n))
+        assert list(sym.canonical_vectors(n)) == want, n
+
+
+def test_canonical_vector_counts():
+    for n in range(1, 15):
+        assert len(sym.canonical_vectors(n)) == sym.count_super_orbits(n), n
