@@ -42,9 +42,19 @@ def _parse_indices(n, text, as_mult):
     return tuple(sorted(values))
 
 
-def poly_to_json(poly) -> str:
-    terms = [{"M": list(k), "coeff": str(v)} for k, v in poly.sorted_terms()]
-    return json.dumps({"N": poly.n, "terms": terms}, separators=(",", ":"))
+def _terms(poly, include_zeros):
+    """(multiplicity vector, coefficient) pairs sorted by vector; the zero
+    terms too under include_zeros."""
+    return sorted(poly.all_terms.items()) if include_zeros else poly.sorted_terms()
+
+
+def poly_to_json(poly, include_zeros=False) -> str:
+    # one string per term, with no dict or list per term (those set expand 12's
+    # peak RSS); the same bytes as json.dumps of
+    # {"N": n, "terms": [{"M": [...], "coeff": "..."}, ...]} with no spaces
+    terms = ",".join('{"M":[%s],"coeff":"%d"}' % (",".join(map(str, key)), value)
+                     for key, value in _terms(poly, include_zeros))
+    return '{"N":%d,"terms":[%s]}' % (poly.n, terms)
 
 
 def _partition_label(key):
@@ -53,8 +63,7 @@ def _partition_label(key):
 
 def _poly_text(poly, include_zeros):
     groups = {}
-    items = sorted(poly.all_terms.items()) if include_zeros else poly.sorted_terms()
-    for key, value in items:
+    for key, value in _terms(poly, include_zeros):
         groups.setdefault(_partition_label(key), []).append((key, value))
     lines = []
     for label in sorted(groups, key=lambda s: ([-int(t) for t in s.split(".")], s)):
@@ -68,8 +77,7 @@ def _poly_csv(poly, include_zeros):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["M", "coeff"])
-    items = sorted(poly.all_terms.items()) if include_zeros else poly.sorted_terms()
-    for key, value in items:
+    for key, value in _terms(poly, include_zeros):
         writer.writerow(["".join(str(c) for c in key), value])
     return buf.getvalue().rstrip("\n")
 
@@ -105,16 +113,8 @@ def cmd_coeff(args):
 def cmd_expand(args):
     if args.N < 1 or args.N > expansion.MAX_N:
         raise UsageError("N out of range")
-    if args.N == 1:
-        poly = expansion.ExpansionPolynomial(1, {(1,): 1})
-    else:
-        poly = expansion.expand(args.N)
-    if args.format == "json":
-        print(poly_to_json(poly))
-    elif args.format == "csv":
-        print(_poly_csv(poly, args.include_zeros))
-    else:
-        print(_poly_text(poly, args.include_zeros))
+    render = {"json": poly_to_json, "csv": _poly_csv, "text": _poly_text}[args.format]
+    print(render(expansion.expand(args.N), args.include_zeros))
     return EXIT_OK
 
 
@@ -328,8 +328,8 @@ def build_parser():
                                      description="exact circulant determinant expansions")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
-        p.add_argument("--format", choices=["json", "csv", "text"], default="text")
+    def common(p, formats):
+        p.add_argument("--format", choices=formats, default="text")
 
     p = sub.add_parser("coeff", help="one expansion coefficient")
     p.add_argument("N", type=int)
@@ -339,29 +339,28 @@ def build_parser():
     p.add_argument("--check", action="store_true",
                    help="compare with the arrangement-counting oracle (N <= %d)"
                    % CHECK_MAX_N)
-    common(p)
+    common(p, ["json", "text"])
     p.set_defaults(func=cmd_coeff)
 
     p = sub.add_parser("expand", help="full determinant expansion")
     p.add_argument("N", type=int)
     p.add_argument("--include-zeros", action="store_true")
-    common(p)
+    common(p, ["json", "csv", "text"])
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("multiplets", help="orbit table")
     p.add_argument("N", type=int)
-    common(p)
+    common(p, ["json", "csv", "text"])
     p.set_defaults(func=cmd_multiplets)
 
     p = sub.add_parser("zeros", help="vanishing coefficients")
     p.add_argument("N", type=int)
-    common(p)
+    common(p, ["json", "text"])
     p.set_defaults(func=cmd_zeros)
 
     p = sub.add_parser("verify", help="run invariant suites")
     p.add_argument("range")
     p.add_argument("--suite")
-    common(p)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -2,26 +2,12 @@
 
 import math
 
-FACT_CAP = 64
-
-_fact_table = [1] * (FACT_CAP + 1)
-for _i in range(1, FACT_CAP + 1):
-    _fact_table[_i] = _fact_table[_i - 1] * _i
-
-
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError("factorial of negative %d" % n)
-    if n <= FACT_CAP:
-        return _fact_table[n]
-    return math.factorial(n)
+factorial = math.factorial
 
 
 def binomial(n: int, k: int) -> int:
     """C(n,k), defined as 0 whenever the arguments fall outside 0 <= k <= n."""
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def multinomial_star(p: int, k) -> int:

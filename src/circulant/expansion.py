@@ -36,19 +36,14 @@ class ExpansionPolynomial:
                 and self.n == other.n and self.terms == other.terms)
 
 
-def _check_dimension(n):
-    if n < 2 or n > MAX_N:
-        raise ValueError("dimension must be in [2, %d]" % MAX_N)
-
-
 def expand(n: int) -> ExpansionPolynomial:
     """Every coefficient, filled in from the orbit values by one pass over
     the group per super orbit: the image of the canonical vector under
     x -> b*x + k carries the group element's sign times its value."""
-    _check_dimension(n)
+    values = orbit_values(n)  # ValueError for n outside [1, MAX_N]
     table = coeff_engine.group_table(n)
     terms = {}
-    for m, value in _expand_cached(n):
+    for m, value in values:
         for _, sign, image in table:
             signed = sign * value
             # an image reached with both signs must have value 0
@@ -57,20 +52,16 @@ def expand(n: int) -> ExpansionPolynomial:
     return ExpansionPolynomial(n, terms)
 
 
+@lru_cache(maxsize=32)
 def orbit_values(n: int):
     """(canonical vector, coefficient) for every super orbit of dimension n,
-    in lexicographic order of the canonical vectors."""
-    _check_dimension(n)
-    return _expand_cached(n)
-
-
-@lru_cache(maxsize=32)
-def _expand_cached(n):
-    """One coefficient per super orbit, at its canonical vector.
+    in lexicographic order of the canonical vectors.
 
     The only place an expansion's orbits are evaluated; `coefficient`
     reduces each vector to its orbit's cheapest member first.
     """
+    if n < 1 or n > MAX_N:
+        raise ValueError("dimension must be in [1, %d]" % MAX_N)
     return tuple((m, coeff_engine.coefficient(coeff_engine.indices_from_multiplicities(m)))
                  for m in symmetry.canonical_vectors(n))
 

@@ -152,6 +152,39 @@ def test_expand_include_zeros(capsys):
     _, without = run(capsys, "expand", "6", "--format", "csv")
     assert len(with_zeros.splitlines()) == len(without.splitlines()) + 12
 
+    def json_terms(n, *flags):
+        _, out = run(capsys, "expand", str(n), "--format", "json", *flags)
+        return [(tuple(t["M"]), int(t["coeff"])) for t in json.loads(out)["terms"]]
+
+    for n in range(2, 9):
+        terms = json_terms(n, "--include-zeros")
+        assert len(terms) == symmetry.count_solutions_F(n), n
+        _, out = run(capsys, "expand", str(n), "--format", "csv", "--include-zeros")
+        rows = {(tuple(int(c) for c in key), int(value))
+                for key, value in (line.split(",") for line in out.splitlines()[1:])}
+        assert set(terms) == rows, n
+        # without the flag, json lists the nonzero terms only, as before
+        assert json_terms(n) == [(key, value) for key, value in terms if value], n
+
+
+def test_expand_one(capsys):
+    # the csv module ends every row with CRLF
+    want = {"json": '{"N":1,"terms":[{"M":[1],"coeff":"1"}]}\n',
+            "csv": "M,coeff\r\n1,1\r\n",
+            "text": "partition 1\n  C*_1 = 1\n"}
+    for fmt, out in want.items():
+        for extra in ([], ["--include-zeros"]):
+            assert run(capsys, "expand", "1", "--format", fmt, *extra) == (0, out)
+
+
+def test_format_only_where_implemented(capsys):
+    # coeff and zeros print json or text; verify prints a fixed report
+    for argv in (["coeff", "3", "0,1,2", "--format", "csv"],
+                 ["zeros", "6", "--format", "csv"],
+                 ["verify", "3", "--format", "json"]):
+        code, out, _ = _call(capsys, argv)
+        assert (code, out) == (2, ""), argv
+
 
 def test_expand_range_check(capsys):
     assert run(capsys, "expand", "99")[0] == 2
@@ -195,11 +228,11 @@ def test_one_evaluation_per_super_orbit(capsys, monkeypatch):
 
     monkeypatch.setattr(coeff_engine, "coeff_theorem3", counting)
     for command in ("multiplets", "expand"):
-        expansion._expand_cached.cache_clear()
+        expansion.orbit_values.cache_clear()
         calls[0] = 0
         assert run(capsys, command, "8")[0] == 0
         assert 0 < calls[0] <= 49, (command, calls[0])
-    expansion._expand_cached.cache_clear()
+    expansion.orbit_values.cache_clear()
     calls[0] = 0
     assert run(capsys, "zeros", "10")[0] == 0
     assert 0 < calls[0] <= 3, calls[0]
@@ -223,10 +256,10 @@ def test_one_walk_per_dimension(capsys, monkeypatch):
     for name in counts:
         monkeypatch.setattr(symmetry, name, counting(name))
     symmetry.canonical_vectors.cache_clear()
-    expansion._expand_cached.cache_clear()
+    expansion.orbit_values.cache_clear()
     assert run(capsys, "multiplets", "8")[0] == 0
     assert counts == {"valid_vectors": 0, "super_multiplet": 49}
-    expansion._expand_cached.cache_clear()
+    expansion.orbit_values.cache_clear()
     assert run(capsys, "expand", "8")[0] == 0
     assert counts == {"valid_vectors": 0, "super_multiplet": 49}
     assert symmetry.canonical_vectors.cache_info().misses == 1
@@ -279,11 +312,11 @@ def test_verify_determinant_catches_one_wrong_coefficient(capsys, monkeypatch):
         return original(a) + (tuple(a) == (0, 0, 0, 1, 2, 3))
 
     monkeypatch.setattr(coeff_engine, "coeff_theorem3", off_by_one)
-    expansion._expand_cached.cache_clear()
+    expansion.orbit_values.cache_clear()
     try:
         code, out = run(capsys, "verify", "6", "--suite", "determinant")
     finally:
-        expansion._expand_cached.cache_clear()
+        expansion.orbit_values.cache_clear()
     assert code == 1
     assert out.startswith("determinant: FAIL (expansion differs from the determinant at N=6")
 
@@ -339,7 +372,11 @@ def test_import_loads_no_oracles():
         [sys.executable, "-S", "-c",
          "import sys, circulant.cli\n"
          "for name in ('circulant.oracles', 'fractions', 'decimal'):\n"
-         "    assert name not in sys.modules, name"],
+         "    assert name not in sys.modules, name\n"
+         # the traced benchmark wraps functions of these modules by name
+         "for name in ('cli', 'expansion', 'symmetry', 'coeff_engine', 'partitions',\n"
+         "             'exactmath'):\n"
+         "    assert 'circulant.' + name in sys.modules, name"],
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
 

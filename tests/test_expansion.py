@@ -22,9 +22,10 @@ def test_expand_keeps_zero_terms():
 
 def test_expand_bounds():
     with pytest.raises(ValueError):
-        expand(1)
+        expand(0)
     with pytest.raises(ValueError):
         expand(expansion.MAX_N + 1)
+    assert expand(1).terms == {(1,): 1}
 
 
 def test_polynomial_accessors():
