@@ -45,7 +45,7 @@ def _parse_indices(n, text, as_mult):
 def _terms(poly, include_zeros):
     """(multiplicity vector, coefficient) pairs sorted by vector; the zero
     terms too under include_zeros."""
-    return sorted(poly.all_terms.items()) if include_zeros else poly.sorted_terms()
+    return sorted(item for item in poly.all_terms.items() if include_zeros or item[1])
 
 
 def poly_to_json(poly, include_zeros=False) -> str:
@@ -94,19 +94,15 @@ def cmd_coeff(args):
         "path": path,
         "representative": {"indices": list(rep), "sign": sign},
     }
+    oracle = value  # without --check nothing can disagree
     if args.check:
         from . import oracles
         oracle = oracles.coeff_via_theorem2(a)
         doc["oracle"] = str(oracle)
-        if oracle != value:
-            print(json.dumps(doc, separators=(",", ":")))
-            print("oracle mismatch: engine %d vs oracle %d" % (value, oracle),
-                  file=sys.stderr)
-            return EXIT_ORACLE_MISMATCH
-    if args.format == "json":
-        print(json.dumps(doc, separators=(",", ":")))
-    else:
-        print(value)
+    print(json.dumps(doc, separators=(",", ":")) if args.format == "json" else value)
+    if oracle != value:
+        print("oracle mismatch: engine %d vs oracle %d" % (value, oracle), file=sys.stderr)
+        return EXIT_ORACLE_MISMATCH
     return EXIT_OK
 
 
@@ -167,22 +163,23 @@ def cmd_multiplets(args):
 def zeros_report(n):
     """(index set, annotation) for every vanishing condition-(8) coefficient.
 
-    Full scan for small n; for larger n only the structural family is listed,
-    checked by one evaluation per super orbit.
+    Every zero super orbit of the evaluated orbit table for small n; above
+    N = 8 the corollary-6 orbits, checked by one evaluation each.
     """
-    orbits = {}  # representative -> super multiplet of a corollary-6 shape
+    family = {}  # representative -> super multiplet of a corollary-6 shape
     for a in coeff_engine.corollary6_shapes(n):
         rec = symmetry.super_multiplet(coeff_engine.multiplicities(a))
-        orbits[rec.representative] = rec
-    family = {vec for rec in orbits.values() for vec, _ in rec.members}
+        family[rec.representative] = rec
     if n <= 8:
-        return [(coeff_engine.indices_from_multiplicities(m),
-                 "corollary6" if m in family else "accidental")
-                for m in expansion.expand(n).zero_keys()]
-    for rep in orbits:
-        assert coeff_engine.coefficient(coeff_engine.indices_from_multiplicities(rep)) == 0
-    return [(a, "corollary6")
-            for a in sorted(map(coeff_engine.indices_from_multiplicities, family))]
+        zero = [symmetry.super_multiplet(m) for m, value in expansion.orbit_values(n) if not value]
+    else:
+        for rep in family:
+            assert coeff_engine.coefficient(coeff_engine.indices_from_multiplicities(rep)) == 0
+        zero = family.values()
+    # by multiplicity vector; descending above N = 8 lists the index sets ascending
+    listing = sorted(((m, "corollary6" if rec.representative in family else "accidental")
+                      for rec in zero for m, _ in rec.members), reverse=n > 8)
+    return [(coeff_engine.indices_from_multiplicities(m), kind) for m, kind in listing]
 
 
 def cmd_zeros(args):
@@ -255,7 +252,7 @@ def _verify_symmetry(lo, hi):
             if c % coeff_engine.divisibility_bound(a) != 0:
                 return "divisibility bound violated at N=%d %s" % (n, m)
             shifted = coeff_engine.indices_from_multiplicities(tuple(m[p] for p in perm))
-            if coeff_engine.coefficient(shifted) * sign != c:
+            if coeff_engine.coeff_theorem3(shifted) * sign != c:
                 return "shift covariance violated at N=%d %s" % (n, m)
     return None
 

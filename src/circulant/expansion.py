@@ -11,22 +11,24 @@ MAX_N = 12
 class ExpansionPolynomial:
     """Sparse polynomial keyed by multiplicity vectors.
 
-    Zero coefficients are kept in `all_terms` (so zero detection stays
-    testable) and dropped from `terms`. The polynomial keeps the dict it is
-    given as `all_terms`; `terms` is that same dict when no value is zero.
+    The terms are stored once, in the dict the polynomial is given
+    (`all_terms`), zero coefficients included so zero detection stays
+    testable; `terms`, `sorted_terms` and `evaluate` skip the zeros.
     """
 
     def __init__(self, n, all_terms):
         self.n = n
         self.all_terms = all_terms
-        self.terms = ({k: v for k, v in all_terms.items() if v}
-                      if 0 in all_terms.values() else all_terms)
+
+    @property
+    def terms(self):
+        return {k: v for k, v in self.all_terms.items() if v}
 
     def coefficient(self, key):
         return self.all_terms.get(tuple(key), 0)
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        return sorted(item for item in self.all_terms.items() if item[1])
 
     def zero_keys(self):
         return sorted(k for k, v in self.all_terms.items() if v == 0)
@@ -70,7 +72,7 @@ def evaluate(poly: ExpansionPolynomial, x) -> int:
     if len(x) != poly.n:
         raise ValueError("need %d values" % poly.n)
     total = 0
-    for key, coeff in poly.terms.items():
+    for key, coeff in ((k, c) for k, c in poly.all_terms.items() if c):
         prod = coeff
         for value, count in enumerate(key):
             if count:

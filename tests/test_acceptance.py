@@ -234,7 +234,7 @@ def test_criterion_08_symmetry_laws():
                     if math.gcd(mult, n) != 1:
                         continue
                     b = tuple(sorted((mult * x + shift) % n for x in a))
-                    assert ce.coefficient(b) == c * (-1) ** (shift * (n - 1)), \
+                    assert ce.coeff_theorem3(b) == c * (-1) ** (shift * (n - 1)), \
                         (a, shift, mult)
 
 

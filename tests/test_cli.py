@@ -55,6 +55,20 @@ def test_coeff_check_refused_above_window(capsys):
     assert time.time() - t0 < 5.0
 
 
+def test_coeff_check_mismatch(capsys, monkeypatch):
+    # one output in the requested format, then the mismatch on stderr, exit 3
+    monkeypatch.setattr(oracles, "coeff_via_theorem2", lambda a: 6)
+    assert cli.main(["coeff", "5", "0,0,1,2,2", "--check"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "5\n"
+    assert err == "oracle mismatch: engine 5 vs oracle 6\n"
+    assert cli.main(["coeff", "5", "0,0,1,2,2", "--check", "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert (doc["value"], doc["oracle"]) == ("5", "6")
+    assert err == "oracle mismatch: engine 5 vs oracle 6\n"
+
+
 def test_no_command_is_usage_error(capsys):
     assert cli.main([]) == 2
 
@@ -281,13 +295,21 @@ def test_zeros_report_lists_every_zero():
 
 
 def test_zeros_lists_without_scanning(capsys, monkeypatch):
-    def refuse(n):
-        raise AssertionError("zeros above N = 8 must not enumerate valid vectors")
+    # zeros and multiplets read the orbit table: neither enumerates the
+    # valid vectors nor builds the full expansion
+    def refuse(name):
+        def call(n):
+            raise AssertionError("%s(%d) called" % (name, n))
+        return call
 
-    monkeypatch.setattr(symmetry, "valid_vectors", refuse)
-    code, out = run(capsys, "zeros", "12")
-    assert code == 0
+    monkeypatch.setattr(symmetry, "valid_vectors", refuse("valid_vectors"))
+    monkeypatch.setattr(expansion, "expand", refuse("expand"))
+    for n in range(2, 13):
+        code, out = run(capsys, "zeros", str(n))
+        assert code == 0, n
     assert out.splitlines()[-1] == "total 192"
+    for n in range(2, 11):
+        assert run(capsys, "multiplets", str(n))[0] == 0, n
 
 
 def test_verify_pass(capsys):

@@ -98,7 +98,7 @@ def test_shift_covariance():
             c = ce.coefficient(a)
             for shift in range(n):
                 b = tuple(sorted((x + shift) % n for x in a))
-                assert ce.coefficient(b) == c * (-1) ** (shift * (n - 1)), (a, shift)
+                assert ce.coeff_theorem3(b) == c * (-1) ** (shift * (n - 1)), (a, shift)
 
 
 def test_multiplier_invariance():
@@ -110,7 +110,7 @@ def test_multiplier_invariance():
                 if math.gcd(mult, n) != 1:
                     continue
                 b = tuple(sorted((x * mult) % n for x in a))
-                assert ce.coefficient(b) == c, (a, mult)
+                assert ce.coeff_theorem3(b) == c, (a, mult)
 
 
 def test_divisibility_of_coefficients():
@@ -281,7 +281,7 @@ def test_reduce_representative_preserves_value():
         for m in rng.sample(vecs, min(25, len(vecs))):
             a = ce.indices_from_multiplicities(m)
             rep, sign = ce.reduce_representative(a)
-            assert sign * ce.coefficient(rep) == ce.coefficient(a), a
+            assert sign * ce.coefficient(rep) == ce.coeff_theorem3(a), a
 
 
 def test_reduce_representative_not_more_expensive():

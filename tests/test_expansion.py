@@ -73,8 +73,14 @@ def test_power_identity_rejects_bad_args():
 
 def test_polynomial_equality_ignores_stored_zeros():
     a = ExpansionPolynomial(3, {(3, 0, 0): 1, (1, 1, 1): -3})
-    b = ExpansionPolynomial(3, {(3, 0, 0): 1, (1, 1, 1): -3, (0, 3, 0): 0})
+    stored = {(3, 0, 0): 1, (1, 1, 1): -3, (0, 3, 0): 0}
+    b = ExpansionPolynomial(3, stored)
     assert a == b
+    # one term store: the dict given, read with its zeros skipped
+    assert b.all_terms is stored
+    assert b.terms == {(3, 0, 0): 1, (1, 1, 1): -3}
+    assert b.sorted_terms() == a.sorted_terms() == [((1, 1, 1), -3), ((3, 0, 0), 1)]
+    assert evaluate(b, [2, 5, 7]) == evaluate(a, [2, 5, 7]) == 8 - 3 * 70
 
 
 def test_expansion_matches_exact_determinant():
