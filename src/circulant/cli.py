@@ -42,10 +42,13 @@ def _parse_indices(n, text, as_mult):
     return tuple(sorted(values))
 
 
-def _terms(poly, include_zeros):
-    """(multiplicity vector, coefficient) pairs sorted by vector; the zero
-    terms too under include_zeros."""
-    return sorted(item for item in poly.all_terms.items() if include_zeros or item[1])
+def _csv(header, rows):
+    """One CSV document, without its final line break."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().rstrip("\n")
 
 
 def poly_to_json(poly, include_zeros=False) -> str:
@@ -53,7 +56,7 @@ def poly_to_json(poly, include_zeros=False) -> str:
     # peak RSS); the same bytes as json.dumps of
     # {"N": n, "terms": [{"M": [...], "coeff": "..."}, ...]} with no spaces
     terms = ",".join('{"M":[%s],"coeff":"%d"}' % (",".join(map(str, key)), value)
-                     for key, value in _terms(poly, include_zeros))
+                     for key, value in poly.sorted_terms(include_zeros))
     return '{"N":%d,"terms":[%s]}' % (poly.n, terms)
 
 
@@ -63,7 +66,7 @@ def _partition_label(key):
 
 def _poly_text(poly, include_zeros):
     groups = {}
-    for key, value in _terms(poly, include_zeros):
+    for key, value in poly.sorted_terms(include_zeros):
         groups.setdefault(_partition_label(key), []).append((key, value))
     lines = []
     for label in sorted(groups, key=lambda s: ([-int(t) for t in s.split(".")], s)):
@@ -74,12 +77,8 @@ def _poly_text(poly, include_zeros):
 
 
 def _poly_csv(poly, include_zeros):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["M", "coeff"])
-    for key, value in _terms(poly, include_zeros):
-        writer.writerow(["".join(str(c) for c in key), value])
-    return buf.getvalue().rstrip("\n")
+    return _csv(["M", "coeff"], (("".join(map(str, key)), value)
+                                 for key, value in poly.sorted_terms(include_zeros)))
 
 
 def cmd_coeff(args):
@@ -144,12 +143,8 @@ def cmd_multiplets(args):
     if args.format == "json":
         print(json.dumps(doc, separators=(",", ":")))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["kind", "representative", "n", "value"])
-        for row in rows:
-            writer.writerow([row["kind"], row["representative"], row["n"], row["value"]])
-        print(buf.getvalue().rstrip("\n"))
+        header = ["kind", "representative", "n", "value"]
+        print(_csv(header, ([row[col] for col in header] for row in rows)))
     else:
         for row in rows:
             print("%-8s %s  n=%-3d value=%s"

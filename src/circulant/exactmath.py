@@ -10,21 +10,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def multinomial_star(p: int, k) -> int:
-    """p! / (1^k1 k1! 2^k2 k2! ... p^kp kp!) for a multiplicity list k of length p."""
-    k = list(k)
-    if len(k) != p:
-        raise ValueError("need exactly p multiplicities")
-    if sum((i + 1) * ki for i, ki in enumerate(k)) != p:
-        raise ValueError("multiplicities must weight-sum to p")
-    denom = 1
-    for i, ki in enumerate(k, start=1):
-        denom *= i ** ki * factorial(ki)
-    q, r = divmod(factorial(p), denom)
-    assert r == 0
-    return q
-
-
 def prime_factors(n: int):
     """List of (prime, exponent) pairs, by trial division."""
     if n <= 0:

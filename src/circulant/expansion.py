@@ -12,8 +12,8 @@ class ExpansionPolynomial:
     """Sparse polynomial keyed by multiplicity vectors.
 
     The terms are stored once, in the dict the polynomial is given
-    (`all_terms`), zero coefficients included so zero detection stays
-    testable; `terms`, `sorted_terms` and `evaluate` skip the zeros.
+    (`all_terms`), zero coefficients included; `terms` and `evaluate` skip
+    the zeros, and `sorted_terms` keeps them only when asked.
     """
 
     def __init__(self, n, all_terms):
@@ -27,11 +27,10 @@ class ExpansionPolynomial:
     def coefficient(self, key):
         return self.all_terms.get(tuple(key), 0)
 
-    def sorted_terms(self):
-        return sorted(item for item in self.all_terms.items() if item[1])
-
-    def zero_keys(self):
-        return sorted(k for k, v in self.all_terms.items() if v == 0)
+    def sorted_terms(self, include_zeros=False):
+        """(multiplicity vector, coefficient) pairs sorted by vector: the one
+        listing every output format reads."""
+        return sorted(item for item in self.all_terms.items() if include_zeros or item[1])
 
     def __eq__(self, other):
         return (isinstance(other, ExpansionPolynomial)
@@ -59,12 +58,13 @@ def orbit_values(n: int):
     """(canonical vector, coefficient) for every super orbit of dimension n,
     in lexicographic order of the canonical vectors.
 
-    The only place an expansion's orbits are evaluated; `coefficient`
-    reduces each vector to its orbit's cheapest member first.
+    The only place an expansion's orbits are evaluated, each at its
+    canonical vector by the closed form: a canonical vector already stands
+    for its orbit, so nothing reduces it first.
     """
     if n < 1 or n > MAX_N:
         raise ValueError("dimension must be in [1, %d]" % MAX_N)
-    return tuple((m, coeff_engine.coefficient(coeff_engine.indices_from_multiplicities(m)))
+    return tuple((m, coeff_engine.coeff_theorem3(coeff_engine.indices_from_multiplicities(m)))
                  for m in symmetry.canonical_vectors(n))
 
 

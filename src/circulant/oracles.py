@@ -9,10 +9,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from .coeff_engine import _shape, as_index_set, coeff_all_equal, group_action, multiplicities
+from .coeff_engine import (_shape, as_index_set, coeff_all_equal, gather, group_action,
+                           multiplicities)
 from .exactmath import binomial, divisors, factorial, mobius
 from .partitions import multiset_partitions
-from .symmetry import GroupElement
+from .symmetry import GroupElement, valid_vectors
 
 
 def satisfies_condition_8(a) -> bool:
@@ -30,6 +31,14 @@ def act(g: GroupElement, m):
     """Apply the index map x -> mult*x + shift to the multiplicity vector m."""
     perm, _ = group_action(len(m), g.shift, g.mult)
     return tuple(m[p] for p in perm)
+
+
+def invariant_count_K(n: int, generator: GroupElement) -> int:
+    """Number of valid vectors fixed by the cyclic subgroup of the generator,
+    by scanning them all; `symmetry._fixed_vector_count` is the fast count."""
+    perm, _ = group_action(n, generator.shift, generator.mult)
+    image = gather(perm)
+    return sum(1 for m in valid_vectors(n) if image(m) == m)
 
 
 def _next_permutation(seq) -> bool:
@@ -360,6 +369,21 @@ def lemma1_check(n: int, q, samples: int = 64, tol: float = 1e-9) -> bool:
     return True
 
 
+def multinomial_star(p: int, k) -> int:
+    """p! / (1^k1 k1! 2^k2 k2! ... p^kp kp!) for a multiplicity list k of length p."""
+    k = list(k)
+    if len(k) != p:
+        raise ValueError("need exactly p multiplicities")
+    if sum((i + 1) * ki for i, ki in enumerate(k)) != p:
+        raise ValueError("multiplicities must weight-sum to p")
+    denom = 1
+    for i, ki in enumerate(k, start=1):
+        denom *= i ** ki * factorial(ki)
+    q, r = divmod(factorial(p), denom)
+    assert r == 0
+    return q
+
+
 def lemma2_check(p: int, bound: int, trials: int = 50, seed: int = 0) -> bool:
     """Confirm the symmetric-function lattice-sum reduction on random tables.
 
@@ -367,7 +391,6 @@ def lemma2_check(p: int, bound: int, trials: int = 50, seed: int = 0) -> bool:
     [1, bound]^p must match the partition-weighted sum over unrestricted
     lower-dimensional lattices. Exact integer comparison.
     """
-    from .exactmath import multinomial_star
     from .partitions import integer_partitions
 
     rng = random.Random(seed)

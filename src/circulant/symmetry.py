@@ -160,12 +160,10 @@ def additive_multiplet_count_g(n: int, size: int) -> int:
 
 def _split_prime_form(n: int):
     """Return (p, doubled?) for n = p or n = 2p with p an odd prime."""
-    for cand, doubled in ((n, False), (n // 2, True) if n % 2 == 0 else (None, None)):
-        if cand is None:
-            continue
-        if cand > 2 and prime_factors(cand) == [(cand, 1)]:
-            if not doubled or n == 2 * cand:
-                return cand, doubled
+    if n > 2 and prime_factors(n) == [(n, 1)]:
+        return n, False
+    if n > 4 and n % 2 == 0 and prime_factors(n // 2) == [(n // 2, 1)]:
+        return n // 2, True
     raise ValueError("closed-form count only derived for N = p or N = 2p, p odd prime")
 
 
@@ -200,13 +198,6 @@ def supermultiplet_count(n: int) -> int:
             total += euler_phi(d) * p * k2
         denom = 4 * p * (p - 1)  # twice the 2p(p-1) of the undoubled sum
     return _exact_div(total, denom)
-
-
-def invariant_count_K(n: int, generator: GroupElement) -> int:
-    """Number of valid vectors fixed by the cyclic subgroup of the generator."""
-    perm, _ = coeff_engine.group_action(n, generator.shift, generator.mult)
-    image = coeff_engine.gather(perm)
-    return sum(1 for m in _vectors(n) if image(m) == m)
 
 
 def _fixed_vector_count(n: int, g: GroupElement) -> int:

@@ -8,7 +8,8 @@ import time
 from fractions import Fraction
 
 from circulant import cli, coeff_engine as ce, expansion, oracles, symmetry
-from circulant.exactmath import binomial, factorial, multinomial_star
+from circulant.exactmath import binomial, factorial
+from circulant.oracles import multinomial_star
 from circulant.partitions import integer_partitions
 
 

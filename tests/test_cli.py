@@ -312,6 +312,23 @@ def test_zeros_lists_without_scanning(capsys, monkeypatch):
         assert run(capsys, "multiplets", str(n))[0] == 0, n
 
 
+def test_orbit_route_does_not_reduce(capsys, monkeypatch):
+    # the orbit table evaluates each canonical vector as generated: a
+    # canonical vector already stands for its orbit, so nothing on the
+    # expand, multiplets or zeros (N <= 8) route reduces it
+    def refuse(a):
+        raise AssertionError("reduce_representative(%s) called" % (a,))
+
+    monkeypatch.setattr(coeff_engine, "reduce_representative", refuse)
+    expansion.orbit_values.cache_clear()
+    for n in range(1, 11):
+        assert run(capsys, "expand", str(n))[0] == 0, n
+    for n in range(2, 11):
+        assert run(capsys, "multiplets", str(n))[0] == 0, n
+    for n in range(2, 9):
+        assert run(capsys, "zeros", str(n))[0] == 0, n
+
+
 def test_verify_pass(capsys):
     code, out = run(capsys, "verify", "3..5")
     assert code == 0

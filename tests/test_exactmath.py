@@ -3,8 +3,8 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from circulant.exactmath import (binomial, divisors, euler_phi, factorial,
-                                 mobius, mod_inverse, multinomial_star,
-                                 prime_factors)
+                                 mobius, mod_inverse, prime_factors)
+from circulant.oracles import multinomial_star
 from circulant.partitions import integer_partitions
 
 

@@ -137,12 +137,13 @@ def test_invariant_counts():
     # full generator (shift 1, mult 1): only the all-ones vector, odd N only
     for n in range(3, 11):
         want = 1 if n % 2 else 0
-        assert sym.invariant_count_K(n, sym.GroupElement(1, 1)) == want
+        assert oracles.invariant_count_K(n, sym.GroupElement(1, 1)) == want
     # identity fixes everything
-    assert sym.invariant_count_K(6, sym.GroupElement(0, 1)) == 80
-    # N = 2p, shift by 2: the two alternating-support vectors
-    for n in (10, 14):
-        assert sym.invariant_count_K(n, sym.GroupElement(2, 1)) == 2
+    assert oracles.invariant_count_K(6, sym.GroupElement(0, 1)) == 80
+    # N = 2p, shift by 2: the two alternating-support vectors; the scan at
+    # N = 10, the fixed-vector DP (checked against the scan below) at N = 14
+    assert oracles.invariant_count_K(10, sym.GroupElement(2, 1)) == 2
+    assert sym._fixed_vector_count(14, sym.GroupElement(2, 1)) == 2
 
 
 def test_invariant_counts_multiplier_only():
@@ -155,14 +156,14 @@ def test_invariant_counts_multiplier_only():
                 acc = (acc * g) % p
                 d += 1
             m = (p - 1) // d
-            assert sym.invariant_count_K(p, sym.GroupElement(0, g)) == math.comb(2 * m, m)
+            assert oracles.invariant_count_K(p, sym.GroupElement(0, g)) == math.comb(2 * m, m)
 
 
 def test_fixed_vector_count_agrees_with_scan():
     for n in (6, 7, 8):
         for g in [sym.GroupElement(a, b) for a in range(n)
                   for b in sym.coprime_residues(n)]:
-            assert sym._fixed_vector_count(n, g) == sym.invariant_count_K(n, g), (n, g)
+            assert sym._fixed_vector_count(n, g) == oracles.invariant_count_K(n, g), (n, g)
 
 
 # The counting formulas as they were written with Fraction, kept as the
