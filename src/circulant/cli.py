@@ -116,21 +116,9 @@ def cmd_expand(args):
 def cmd_multiplets(args):
     if args.N < 2 or args.N > expansion.MAX_N:
         raise UsageError("N out of range")
-    records = symmetry.classify(args.N)
-    orbit_values = dict(expansion.orbit_values(args.N))
-    reps = {rec.representative for rec in records}
-    values = {}
-    for rec in records:
-        if rec.kind == "super":
-            # the largest member is the orbit's canonical vector; a member's
-            # sign relates its value to the representative's
-            canonical, sign = rec.members[-1]
-            value = sign * orbit_values[canonical]
-            values.update((vec, s * value) for vec, s in rec.members if vec in reps)
-    rows = [{"kind": rec.kind,
-             "representative": "".join(str(c) for c in rec.representative),
-             "n": rec.n,
-             "value": str(values[rec.representative])} for rec in records]
+    rows = [{"kind": kind, "representative": "".join(str(c) for c in rep), "n": size,
+             "value": str(value)}
+            for kind, rep, size, value in expansion.multiplet_rows(args.N)]
     footer = {"F": symmetry.count_solutions_F(args.N),
               "additive_total": sum(
                   symmetry.additive_multiplet_count_g(args.N, k)
@@ -161,19 +149,22 @@ def zeros_report(n):
     Every zero super orbit of the evaluated orbit table for small n; above
     N = 8 the corollary-6 orbits, checked by one evaluation each.
     """
-    family = {}  # representative -> super multiplet of a corollary-6 shape
+    family = {}  # representative -> {member: sign} of a corollary-6 orbit
     for a in coeff_engine.corollary6_shapes(n):
-        rec = symmetry.super_multiplet(coeff_engine.multiplicities(a))
-        family[rec.representative] = rec
+        signs = symmetry.orbit_signs(coeff_engine.multiplicities(a))
+        family[min(signs)] = signs
     if n <= 8:
-        zero = [symmetry.super_multiplet(m) for m, value in expansion.orbit_values(n) if not value]
+        zero = [symmetry.orbit_signs(m) for m, value in expansion.orbit_values(n) if not value]
     else:
         for rep in family:
             assert coeff_engine.coefficient(coeff_engine.indices_from_multiplicities(rep)) == 0
         zero = family.values()
+    listing = []
+    for signs in zero:
+        kind = "corollary6" if min(signs) in family else "accidental"
+        listing.extend((m, kind) for m in signs)
     # by multiplicity vector; descending above N = 8 lists the index sets ascending
-    listing = sorted(((m, "corollary6" if rec.representative in family else "accidental")
-                      for rec in zero for m, _ in rec.members), reverse=n > 8)
+    listing.sort(reverse=n > 8)
     return [(coeff_engine.indices_from_multiplicities(m), kind) for m, kind in listing]
 
 

@@ -206,13 +206,10 @@ def gather(perm):
 
 
 @lru_cache(maxsize=None)
-def group_table(n: int, shifts_only: bool = False):
+def group_table(n: int):
     """(perm, sign, gather(perm)) of group_action for every shift and every
-    coprime multiplier.
-
-    With shifts_only the table is the shift subgroup (mult = 1) alone.
-    """
-    mults = [1] if shifts_only else coprime_residues(n)
+    coprime multiplier; the identity comes first."""
+    mults = coprime_residues(n)
     actions = (group_action(n, shift, mult) for shift in range(n) for mult in mults)
     return tuple((perm, sign, gather(perm)) for perm, sign in actions)
 

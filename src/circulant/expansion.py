@@ -1,7 +1,7 @@
-# Assemble the full determinant expansion for one dimension.
+# Assemble the full determinant expansion, and the multiplet rows, for one dimension.
 
-from collections import Counter
 from functools import lru_cache
+from operator import itemgetter
 
 from . import coeff_engine, symmetry
 
@@ -68,6 +68,31 @@ def orbit_values(n: int):
                  for m in symmetry.canonical_vectors(n))
 
 
+def multiplet_rows(n: int):
+    """(kind, representative, size, value) of every additive orbit, then of
+    every super orbit, each kind sorted by representative.
+
+    One group pass per canonical vector gives its super orbit's members and
+    signs; the additive orbits among them are their rotation classes. Each
+    row's value is its representative's sign times the orbit's one value,
+    and only the rows outlive the pass.
+    """
+    additive, supers = [], []
+    for m, value in orbit_values(n):
+        signs = symmetry.orbit_signs(m)
+        members = sorted(signs)
+        seen = set()
+        for u in members:
+            if u not in seen:
+                shifts = {u[i:] + u[:i] for i in range(n)}
+                seen |= shifts
+                additive.append(("additive", u, len(shifts), signs[u] * value))
+        supers.append(("super", members[0], len(members), signs[members[0]] * value))
+    additive.sort(key=itemgetter(1))
+    supers.sort(key=itemgetter(1))
+    return additive + supers
+
+
 def evaluate(poly: ExpansionPolynomial, x) -> int:
     if len(x) != poly.n:
         raise ValueError("need %d values" % poly.n)
@@ -79,35 +104,3 @@ def evaluate(poly: ExpansionPolynomial, x) -> int:
                 prod *= x[value] ** count
         total += prod
     return total
-
-
-def _poly_power(base: dict, d: int, width: int) -> dict:
-    """d-th power of a polynomial over exponent-vector keys of fixed width."""
-    out = {tuple([0] * width): 1}
-    for _ in range(d):
-        nxt = Counter()
-        for k1, c1 in out.items():
-            for k2, c2 in base.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                nxt[key] += c1 * c2
-        out = {k: v for k, v in nxt.items() if v}
-    return out
-
-
-def power_identity_check(n: int, d: int) -> bool:
-    """Spaced-support determinant equals the d-th power of the smaller one.
-
-    Keeping only entries x_m with d | m, the N-dim determinant must equal
-    (det of the (N/d)-dim circulant in those entries)^d, as exact polynomials.
-    """
-    if d <= 1 or n % d != 0:
-        raise ValueError("d must divide n and exceed 1")
-    small = n // d
-    # left side: the nonzero terms supported on multiples of d only
-    left = {tuple(m[value] for value in range(0, n, d)): c
-            for m, c in expand(n).terms.items()
-            if all(count == 0 for value, count in enumerate(m) if value % d)}
-    small_poly = expand(small).terms
-    right = _poly_power(
-        {tuple(k): v for k, v in small_poly.items()}, d, small)
-    return left == right

@@ -6,14 +6,20 @@
 import cmath
 import itertools
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .coeff_engine import (_shape, as_index_set, coeff_all_equal, gather, group_action,
-                           multiplicities)
+from .coeff_engine import (_shape, as_index_set, coeff_all_equal, coprime_residues, gather,
+                           group_action, multiplicities)
 from .exactmath import binomial, divisors, factorial, mobius
+from .expansion import expand
 from .partitions import multiset_partitions
-from .symmetry import GroupElement, valid_vectors
+from .symmetry import GroupElement, canonical_vectors, valid_vectors
+
+# orbit of the shift group (additive) or of the whole group (super), each
+# member with its sign; the reference for expansion.multiplet_rows
+MultipletRecord = namedtuple(
+    "MultipletRecord", ["kind", "representative", "n", "members", "conflict"])
 
 
 def satisfies_condition_8(a) -> bool:
@@ -31,6 +37,69 @@ def act(g: GroupElement, m):
     """Apply the index map x -> mult*x + shift to the multiplicity vector m."""
     perm, _ = group_action(len(m), g.shift, g.mult)
     return tuple(m[p] for p in perm)
+
+
+def additive_multiplet(m) -> MultipletRecord:
+    return _multiplet("additive", tuple(m), [GroupElement(k, 1) for k in range(len(m))])
+
+
+def super_multiplet(m) -> MultipletRecord:
+    n = len(m)
+    return _multiplet("super", tuple(m),
+                      [GroupElement(k, b) for k in range(n) for b in coprime_residues(n)])
+
+
+def _multiplet(kind, m, group):
+    """The orbit of m under `group`, each member with the sign s such that
+    coeff(member) = s * coeff(representative), the smallest member.
+
+    Shifting every index by k multiplies the coefficient by (-1)^(k(N-1)).
+    Conflicting reachable signs force the whole orbit's value to zero; such
+    an orbit is flagged and its members pinned at +1.
+    """
+    n = len(m)
+    if sum(m) != n:
+        raise ValueError("multiplicities must sum to the dimension")
+    signs = {m: 1}
+    conflict = False
+    for g in group:
+        sign = (-1) ** (g.shift * (n - 1))
+        if signs.setdefault(act(g, m), sign) != sign:
+            conflict = True
+    rep = min(signs)
+    rep_sign = signs[rep]
+    members = tuple(sorted((vec, 1 if conflict else sign * rep_sign)
+                           for vec, sign in signs.items()))
+    return MultipletRecord(kind, rep, len(members), members, conflict)
+
+
+def orbits(n: int):
+    """The super multiplets of the valid vectors, in order of their first
+    valid vector, each built from its orbit's canonical vector."""
+    return sorted(map(super_multiplet, canonical_vectors(n)), key=lambda r: r.representative)
+
+
+def classify(n: int):
+    """Every valid vector grouped into one additive and one super multiplet.
+
+    Each additive orbit lies inside one super orbit; it is built from its
+    smallest member, the first of the super record's sorted members that
+    no earlier additive orbit holds. Sorting by representative puts the
+    additive orbits in order of their first valid vector.
+    """
+    if n < 2:
+        raise ValueError("dimension must be >= 2")
+    supers = orbits(n)
+    additive = []
+    for rec in supers:
+        seen = set()
+        for vec, _ in rec.members:
+            if vec not in seen:
+                sub = additive_multiplet(vec)
+                seen.update(member for member, _ in sub.members)
+                additive.append(sub)
+    additive.sort(key=lambda r: r.representative)
+    return additive + supers
 
 
 def invariant_count_K(n: int, generator: GroupElement) -> int:
@@ -249,6 +318,38 @@ def leibniz_expansion(n: int, cap: int = 9):
                     t = perm[t]
         terms[tuple(key)] += 1 if (n - cycles) % 2 == 0 else -1
     return {k: v for k, v in terms.items() if v}
+
+
+def _poly_power(base: dict, d: int, width: int) -> dict:
+    """d-th power of a polynomial over exponent-vector keys of fixed width."""
+    out = {tuple([0] * width): 1}
+    for _ in range(d):
+        nxt = Counter()
+        for k1, c1 in out.items():
+            for k2, c2 in base.items():
+                key = tuple(a + b for a, b in zip(k1, k2))
+                nxt[key] += c1 * c2
+        out = {k: v for k, v in nxt.items() if v}
+    return out
+
+
+def power_identity_check(n: int, d: int) -> bool:
+    """Spaced-support determinant equals the d-th power of the smaller one.
+
+    Keeping only entries x_m with d | m, the N-dim determinant must equal
+    (det of the (N/d)-dim circulant in those entries)^d, as exact polynomials.
+    """
+    if d <= 1 or n % d != 0:
+        raise ValueError("d must divide n and exceed 1")
+    small = n // d
+    # left side: the nonzero terms supported on multiples of d only
+    left = {tuple(m[value] for value in range(0, n, d)): c
+            for m, c in expand(n).terms.items()
+            if all(count == 0 for value, count in enumerate(m) if value % d)}
+    small_poly = expand(small).terms
+    right = _poly_power(
+        {tuple(k): v for k, v in small_poly.items()}, d, small)
+    return left == right
 
 
 def circulant_det(x):

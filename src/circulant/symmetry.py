@@ -1,5 +1,6 @@
-# Shift/multiplier symmetries of the coefficient set, multiplet
-# classification, and the orbit-counting formulas.
+# Shift/multiplier symmetries of the coefficient set: the valid vectors, one
+# canonical vector and one sign map per super orbit, and the orbit-counting
+# formulas.
 
 from collections import namedtuple
 from functools import lru_cache
@@ -9,11 +10,6 @@ from .coeff_engine import coprime_residues
 from .exactmath import binomial, divisors, euler_phi, mobius, prime_factors
 
 GroupElement = namedtuple("GroupElement", ["shift", "mult"])
-
-# orbit of the shift group (additive) or of the whole group (super); no
-# coefficient is computed here, the expansion module supplies the values
-MultipletRecord = namedtuple(
-    "MultipletRecord", ["kind", "representative", "n", "members", "conflict"])
 
 
 def _vectors(n: int, top=None):
@@ -74,62 +70,17 @@ def canonical_vectors(n: int):
                  if all(image(m) <= m for _, _, image in table))
 
 
-def additive_multiplet(m) -> MultipletRecord:
-    return _multiplet("additive", tuple(m), coeff_engine.group_table(len(m), shifts_only=True))
+def orbit_signs(m):
+    """{member: sign} over the super orbit of m, with coeff(member) =
+    sign * coeff(m), from one pass over the group table.
 
-
-def super_multiplet(m) -> MultipletRecord:
-    return _multiplet("super", tuple(m), coeff_engine.group_table(len(m)))
-
-
-def _multiplet(kind, m, table):
-    """The orbit of m under `table`, each member with the sign s such that
-    coeff(member) = s * coeff(representative), the smallest member.
-
-    Conflicting reachable signs force the whole orbit's value to zero; such
-    an orbit is flagged and its members pinned at +1.
+    The first sign reached for a member wins. A member reached with both
+    signs puts the orbit's value at 0, so any sign times it is right.
     """
-    if sum(m) != len(m):
-        raise ValueError("multiplicities must sum to the dimension")
-    signs = {m: 1}
-    conflict = False
-    for _, sign, image in table:
-        if signs.setdefault(image(m), sign) != sign:
-            conflict = True
-    rep = min(signs)
-    rep_sign = signs[rep]
-    members = tuple(sorted((vec, 1 if conflict else sign * rep_sign)
-                           for vec, sign in signs.items()))
-    return MultipletRecord(kind, rep, len(members), members, conflict)
-
-
-def orbits(n: int):
-    """The super multiplets of the valid vectors, in order of their first
-    valid vector, each built from its orbit's canonical vector."""
-    return sorted(map(super_multiplet, canonical_vectors(n)), key=lambda r: r.representative)
-
-
-def classify(n: int):
-    """Every valid vector grouped into one additive and one super multiplet.
-
-    Each additive orbit lies inside one super orbit; it is built from its
-    smallest member, the first of the super record's sorted members that
-    no earlier additive orbit holds. Sorting by representative puts the
-    additive orbits in order of their first valid vector.
-    """
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    supers = orbits(n)
-    additive = []
-    for rec in supers:
-        seen = set()
-        for vec, _ in rec.members:
-            if vec not in seen:
-                sub = additive_multiplet(vec)
-                seen.update(member for member, _ in sub.members)
-                additive.append(sub)
-    additive.sort(key=lambda r: r.representative)
-    return additive + supers
+    signs = {}
+    for _, sign, image in coeff_engine.group_table(len(m)):
+        signs.setdefault(image(m), sign)
+    return signs
 
 
 def _exact_div(total: int, denom: int) -> int:

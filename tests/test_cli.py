@@ -253,11 +253,10 @@ def test_one_evaluation_per_super_orbit(capsys, monkeypatch):
 
 
 def test_one_walk_per_dimension(capsys, monkeypatch):
-    # multiplets 8 generates the 49 canonical vectors once and builds each
-    # super orbit once from them; expand 8 then evaluates from the same
-    # canonical vectors and builds no orbit record. Neither walks the valid
-    # vectors.
-    counts = {"valid_vectors": 0, "super_multiplet": 0}
+    # multiplets 8 generates the 49 canonical vectors once and makes one
+    # group pass over each; expand 8 then evaluates from the same canonical
+    # vectors with its own fill-in pass. Neither walks the valid vectors.
+    counts = {"valid_vectors": 0, "orbit_signs": 0}
 
     def counting(name):
         original = getattr(symmetry, name)
@@ -272,10 +271,10 @@ def test_one_walk_per_dimension(capsys, monkeypatch):
     symmetry.canonical_vectors.cache_clear()
     expansion.orbit_values.cache_clear()
     assert run(capsys, "multiplets", "8")[0] == 0
-    assert counts == {"valid_vectors": 0, "super_multiplet": 49}
+    assert counts == {"valid_vectors": 0, "orbit_signs": 49}
     expansion.orbit_values.cache_clear()
     assert run(capsys, "expand", "8")[0] == 0
-    assert counts == {"valid_vectors": 0, "super_multiplet": 49}
+    assert counts == {"valid_vectors": 0, "orbit_signs": 49}
     assert symmetry.canonical_vectors.cache_info().misses == 1
 
 
@@ -416,6 +415,22 @@ def test_import_loads_no_oracles():
          "for name in ('cli', 'expansion', 'symmetry', 'coeff_engine', 'partitions',\n"
          "             'exactmath'):\n"
          "    assert 'circulant.' + name in sys.modules, name"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_orbit_commands_load_no_oracles():
+    # multiplets and zeros build their rows from the orbit table alone; the
+    # orbit records are the oracles' reference, never the runtime's
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import contextlib, io, sys\n"
+         "from circulant import cli\n"
+         "for n in range(2, 13):\n"
+         "    for command in ('multiplets', 'zeros'):\n"
+         "        with contextlib.redirect_stdout(io.StringIO()):\n"
+         "            assert cli.main([command, str(n)]) == 0, (command, n)\n"
+         "assert 'circulant.oracles' not in sys.modules"],
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
 

@@ -4,7 +4,8 @@ import random
 
 from circulant import coeff_engine as ce, oracles
 from circulant.exactmath import binomial, factorial
-from circulant.symmetry import classify, valid_vectors
+from circulant.oracles import classify
+from circulant.symmetry import valid_vectors
 
 # frozen values, each independently recomputable from the determinant itself
 KNOWN = [

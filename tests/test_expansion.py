@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from circulant import expansion, oracles
+from circulant import expansion, oracles, symmetry
+from circulant.exactmath import euler_phi
 from circulant.expansion import ExpansionPolynomial, evaluate, expand
 
 
@@ -58,17 +59,34 @@ def test_evaluate_matches_eigenvalue_product():
             assert abs(approx.real - exact) <= 1e-6 * max(1.0, abs(exact)), (n, x)
 
 
+def test_multiplet_rows_match_classify():
+    # the rows of one group pass per canonical vector against the oracle's
+    # records, each valued by the coefficient of its representative
+    for n in range(2, 11):
+        values = expand(n).all_terms
+        want = [(rec.kind, rec.representative, rec.n, values[rec.representative])
+                for rec in oracles.classify(n)]
+        rows = expansion.multiplet_rows(n)
+        assert rows == want, n
+        for kind in ("additive", "super"):
+            sizes = [size for k, _, size, _ in rows if k == kind]
+            assert sum(sizes) == symmetry.count_solutions_F(n), (n, kind)
+        # an orbit's size divides the order of the group x -> b*x + k
+        assert all(n * euler_phi(n) % size == 0 for kind, _, size, _ in rows
+                   if kind == "super"), n
+
+
 def test_power_identities_small():
-    assert expansion.power_identity_check(4, 2)
-    assert expansion.power_identity_check(6, 2)
-    assert expansion.power_identity_check(6, 3)
+    assert oracles.power_identity_check(4, 2)
+    assert oracles.power_identity_check(6, 2)
+    assert oracles.power_identity_check(6, 3)
 
 
 def test_power_identity_rejects_bad_args():
     with pytest.raises(ValueError):
-        expansion.power_identity_check(6, 4)
+        oracles.power_identity_check(6, 4)
     with pytest.raises(ValueError):
-        expansion.power_identity_check(6, 1)
+        oracles.power_identity_check(6, 1)
 
 
 def test_polynomial_equality_ignores_stored_zeros():

@@ -49,7 +49,7 @@ def test_act_is_group_action():
 def test_orbits_partition_the_solution_set():
     for n in range(3, 9):
         vecs = sym.valid_vectors(n)
-        records = sym.classify(n)
+        records = oracles.classify(n)
         for kind in ("additive", "super"):
             members = [vec for rec in records if rec.kind == kind
                        for vec, _ in rec.members]
@@ -57,7 +57,7 @@ def test_orbits_partition_the_solution_set():
 
 
 def test_additive_orbit_signs():
-    rec = sym.additive_multiplet((2, 3, 0, 1, 0, 0))  # N=6, shift flips sign
+    rec = oracles.additive_multiplet((2, 3, 0, 1, 0, 0))  # N=6, shift flips sign
     value = coefficient(indices_from_multiplicities(rec.representative))
     for vec, sign in rec.members:
         assert coeff_theorem3(indices_from_multiplicities(vec)) == sign * value, vec
@@ -65,14 +65,14 @@ def test_additive_orbit_signs():
 
 def test_super_orbit_signs():
     for m in ((3, 0, 2, 0, 0, 2, 0), (2, 1, 0, 2, 1, 0, 1, 1)):
-        rec = sym.super_multiplet(m)
+        rec = oracles.super_multiplet(m)
         value = coefficient(indices_from_multiplicities(rec.representative))
         for vec, sign in rec.members:
             assert coeff_theorem3(indices_from_multiplicities(vec)) == sign * value
 
 
 def test_multiplets_reject_invalid_vectors():
-    for build in (sym.additive_multiplet, sym.super_multiplet):
+    for build in (oracles.additive_multiplet, oracles.super_multiplet):
         with pytest.raises(ValueError):
             build((2, 0, 0))
 
@@ -89,7 +89,7 @@ def test_additive_multiplet_size_counts():
 
 def test_additive_counts_vs_enumeration():
     for n in range(2, 11):
-        records = [r for r in sym.classify(n)
+        records = [r for r in oracles.classify(n)
                    if r.kind == "additive"]
         by_size = {}
         for r in records:
@@ -111,7 +111,7 @@ def test_supermultiplet_count_vs_enumeration():
         want = sym.count_super_orbits(n)
         assert sym.supermultiplet_count(n) == want
         if n <= 10:
-            records = [r for r in sym.classify(n)
+            records = [r for r in oracles.classify(n)
                        if r.kind == "super"]
             assert len(records) == want
 
@@ -128,7 +128,7 @@ def test_closed_form_rejects_other_dimensions():
 
 def test_burnside_matches_direct_count():
     for n in range(3, 9):
-        records = [r for r in sym.classify(n)
+        records = [r for r in oracles.classify(n)
                    if r.kind == "super"]
         assert sym.count_super_orbits(n) == len(records), n
 
@@ -226,9 +226,9 @@ def test_integer_counts_match_fraction_reference():
 # one super-orbit walk.
 
 def _orbits_by_walk(n, shifts_only=False):
-    """The orbits of the valid vectors under group_table(n, shifts_only),
-    additive or super multiplets, in order of their first valid vector."""
-    build = sym.additive_multiplet if shifts_only else sym.super_multiplet
+    """The orbits of the valid vectors under the shifts alone (additive) or
+    the whole group (super), in order of their first valid vector."""
+    build = oracles.additive_multiplet if shifts_only else oracles.super_multiplet
     seen = set()
     for m in sym.valid_vectors(n):
         if m not in seen:
@@ -246,18 +246,34 @@ def _classify_by_two_walks(n):
 
 def test_classify_matches_two_walks():
     for n in range(2, 11):
-        got, want = sym.classify(n), _classify_by_two_walks(n)
+        got, want = oracles.classify(n), _classify_by_two_walks(n)
         assert len(got) == len(want), n
         for rec, ref in zip(got, want):
-            for field in sym.MultipletRecord._fields:
+            for field in oracles.MultipletRecord._fields:
                 assert getattr(rec, field) == getattr(ref, field), (n, field, ref)
 
 
 def test_single_index_multiplets():
     # the one permutation of one position is gathered without itemgetter,
     # which would return the entry itself rather than a 1-tuple
-    for build, kind in ((sym.super_multiplet, "super"), (sym.additive_multiplet, "additive")):
-        assert build((1,)) == sym.MultipletRecord(kind, (1,), 1, (((1,), 1),), False)
+    assert sym.orbit_signs((1,)) == {(1,): 1}
+    for build, kind in ((oracles.super_multiplet, "super"),
+                        (oracles.additive_multiplet, "additive")):
+        assert build((1,)) == oracles.MultipletRecord(kind, (1,), 1, (((1,), 1),), False)
+
+
+def test_orbit_signs_match_super_multiplets():
+    # the runtime's one group pass against the oracle's record: the same
+    # members, and the same signs wherever no member is reached with both
+    for n in range(2, 10):
+        for m in sym.canonical_vectors(n):
+            signs, rec = sym.orbit_signs(m), oracles.super_multiplet(m)
+            assert signs[m] == 1
+            assert sorted(signs) == [vec for vec, _ in rec.members], m
+            if not rec.conflict:
+                rep_sign = signs[rec.representative]
+                for vec, sign in rec.members:
+                    assert signs[vec] == sign * rep_sign, (m, vec)
 
 
 def test_canonical_vectors_are_largest_members():
