@@ -60,24 +60,31 @@ def poly_to_json(poly, include_zeros=False) -> str:
     return '{"N":%d,"terms":[%s]}' % (poly.n, terms)
 
 
-def _partition_label(key):
-    return ".".join(str(c) for c in sorted((c for c in key if c), reverse=True))
+KEY_DIGITS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def _key(m):
+    """A multiplicity vector as one character per entry: 0-9, then A, B, C,
+    ... (read back with int(ch, 36)), so keys stay N characters long."""
+    return "".join(KEY_DIGITS[c] for c in m)
 
 
 def _poly_text(poly, include_zeros):
-    groups = {}
+    groups = {}  # partition of N (the nonzero entries, descending) -> terms
     for key, value in poly.sorted_terms(include_zeros):
-        groups.setdefault(_partition_label(key), []).append((key, value))
+        part = tuple(sorted((c for c in key if c), reverse=True))
+        groups.setdefault(part, []).append((key, value))
     lines = []
-    for label in sorted(groups, key=lambda s: ([-int(t) for t in s.split(".")], s)):
-        lines.append("partition %s" % label)
-        for key, value in groups[label]:
-            lines.append("  C*_%s = %d" % ("".join(str(c) for c in key), value))
+    # partitions of one N are never prefixes of each other, so descending
+    # tuple order is descending order part by part
+    for part in sorted(groups, reverse=True):
+        lines.append("partition %s" % ".".join(map(str, part)))
+        lines.extend("  C*_%s = %d" % (_key(key), value) for key, value in groups[part])
     return "\n".join(lines)
 
 
 def _poly_csv(poly, include_zeros):
-    return _csv(["M", "coeff"], (("".join(map(str, key)), value)
+    return _csv(["M", "coeff"], ((_key(key), value)
                                  for key, value in poly.sorted_terms(include_zeros)))
 
 
@@ -116,7 +123,7 @@ def cmd_expand(args):
 def cmd_multiplets(args):
     if args.N < 2 or args.N > expansion.MAX_N:
         raise UsageError("N out of range")
-    rows = [{"kind": kind, "representative": "".join(str(c) for c in rep), "n": size,
+    rows = [{"kind": kind, "representative": _key(rep), "n": size,
              "value": str(value)}
             for kind, rep, size, value in expansion.multiplet_rows(args.N)]
     footer = {"F": symmetry.count_solutions_F(args.N),
@@ -147,7 +154,8 @@ def zeros_report(n):
     """(index set, annotation) for every vanishing condition-(8) coefficient.
 
     Every zero super orbit of the evaluated orbit table for small n; above
-    N = 8 the corollary-6 orbits, checked by one evaluation each.
+    N = 8 the corollary-6 orbits, each checked by one evaluation at its
+    canonical (largest) member, so no orbit is reduced.
     """
     family = {}  # representative -> {member: sign} of a corollary-6 orbit
     for a in coeff_engine.corollary6_shapes(n):
@@ -156,9 +164,10 @@ def zeros_report(n):
     if n <= 8:
         zero = [symmetry.orbit_signs(m) for m, value in expansion.orbit_values(n) if not value]
     else:
-        for rep in family:
-            assert coeff_engine.coefficient(coeff_engine.indices_from_multiplicities(rep)) == 0
         zero = family.values()
+        for signs in zero:
+            assert coeff_engine.coeff_theorem3(
+                coeff_engine.indices_from_multiplicities(max(signs))) == 0
     listing = []
     for signs in zero:
         kind = "corollary6" if min(signs) in family else "accidental"

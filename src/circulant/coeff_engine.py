@@ -10,7 +10,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from operator import itemgetter
 
-from .exactmath import binomial, factorial, mod_inverse
+from .exactmath import binomial, factorial
 
 
 def as_index_set(a):
@@ -46,10 +46,9 @@ def coeff_all_equal(value: int, n: int) -> int:
 
 
 def _shape(a):
-    """Split a sorted index set into (N, M, M0, M1, A-list of indices >= 2)."""
-    a = as_index_set(a)
+    """Split an index set from as_index_set into (M, M0, M1, A-list of indices >= 2)."""
     m = multiplicities(a)
-    return len(a), m, m[0], m[1] if len(a) > 1 else 0, [x for x in a if x >= 2]
+    return m, m[0], m[1] if len(a) > 1 else 0, [x for x in a if x >= 2]
 
 
 def _partition_sum(rest, n, m0, m1):
@@ -136,7 +135,7 @@ def coeff_theorem3(a) -> int:
         return 0
     if a[0] == a[-1]:
         return coeff_all_equal(a[0], n)
-    _, m, m0, m1, big = _shape(a)
+    m, m0, m1, big = _shape(a)
     # condition 8 with two distinct values present forces at least one index >= 2
     assert big, "non-constant index set satisfying the residue gate has an index >= 2"
     # one index >= 2 is pinned; N - M0 - 1 >= M1 because it exists
@@ -173,11 +172,7 @@ def corollary6_shapes(n: int):
 def divisibility_bound(a) -> int:
     """N/d with d = gcd of the multiplicities; the coefficient is 0 mod this."""
     a = as_index_set(a)
-    n = len(a)
-    d = 0
-    for count in multiplicities(a):
-        d = math.gcd(d, count)
-    return n // d
+    return len(a) // math.gcd(*multiplicities(a))
 
 
 def coprime_residues(n: int):
@@ -191,7 +186,7 @@ def group_action(n: int, shift: int, mult: int):
     It sends a multiplicity vector m to tuple(m[p] for p in perm), and the
     image's coefficient is sign * coeff(m).
     """
-    inv = mod_inverse(mult, n)
+    inv = pow(mult, -1, n)
     perm = tuple(((i - shift) * inv) % n for i in range(n))
     return perm, -1 if (shift * (n - 1)) % 2 else 1
 
@@ -243,14 +238,17 @@ def coefficient(a) -> int:
 
 
 def coefficient_with_path(a):
-    """(C_[a], path, rep, sign): the value, the path that gave it (residue
-    gate, all-equal, or the partition sum at the image), and the
-    reduce_representative image (rep, sign) of [a]."""
+    """(C_[a], path, rep, sign): the value sign * coeff_theorem3(rep) at the
+    reduce_representative image (rep, sign) of [a], and the path that names
+    it: residue gate, all-equal, or the partition sum. The group keeps the
+    gate (b*sum + N*k = b*sum mod N, b a unit) and constant index sets, so
+    rep takes the branch of coeff_theorem3 that [a] would."""
     a = as_index_set(a)
-    n = len(a)
     rep, sign = reduce_representative(a)
-    if sum(a) % n != 0:
-        return 0, "residue-gate", rep, sign
-    if a[0] == a[-1]:
-        return coeff_all_equal(a[0], n), "all-equal", rep, sign
-    return sign * coeff_theorem3(rep), "partition-sum", rep, sign
+    if sum(a) % len(a):
+        path = "residue-gate"
+    elif a[0] == a[-1]:
+        path = "all-equal"
+    else:
+        path = "partition-sum"
+    return sign * coeff_theorem3(rep), path, rep, sign

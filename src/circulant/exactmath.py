@@ -61,11 +61,3 @@ def divisors(n: int):
         d += 1
     return small + large[::-1]
 
-
-def mod_inverse(n: int, modulus: int) -> int:
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    if math.gcd(n, modulus) != 1:
-        raise ValueError("%d is not invertible mod %d" % (n, modulus))
-    return pow(n, -1, modulus)
-

@@ -9,12 +9,15 @@ import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .coeff_engine import (_shape, as_index_set, coeff_all_equal, coprime_residues, gather,
-                           group_action, multiplicities)
+from .coeff_engine import (_shape, as_index_set, coeff_all_equal, coprime_residues,
+                           indices_from_multiplicities, multiplicities)
 from .exactmath import binomial, divisors, factorial, mobius
 from .expansion import expand
 from .partitions import multiset_partitions
-from .symmetry import GroupElement, canonical_vectors, valid_vectors
+from .symmetry import canonical_vectors, valid_vectors
+
+# the index map x -> mult*x + shift
+GroupElement = namedtuple("GroupElement", ["shift", "mult"])
 
 # orbit of the shift group (additive) or of the whole group (super), each
 # member with its sign; the reference for expansion.multiplet_rows
@@ -34,9 +37,10 @@ def compose(g: GroupElement, h: GroupElement, n: int) -> GroupElement:
 
 
 def act(g: GroupElement, m):
-    """Apply the index map x -> mult*x + shift to the multiplicity vector m."""
-    perm, _ = group_action(len(m), g.shift, g.mult)
-    return tuple(m[p] for p in perm)
+    """Apply the index map x -> mult*x + shift to the multiplicity vector m,
+    on its index list; the reference for coeff_engine.group_action."""
+    n = len(m)
+    return multiplicities([(g.mult * x + g.shift) % n for x in indices_from_multiplicities(m)])
 
 
 def additive_multiplet(m) -> MultipletRecord:
@@ -105,9 +109,7 @@ def classify(n: int):
 def invariant_count_K(n: int, generator: GroupElement) -> int:
     """Number of valid vectors fixed by the cyclic subgroup of the generator,
     by scanning them all; `symmetry._fixed_vector_count` is the fast count."""
-    perm, _ = group_action(n, generator.shift, generator.mult)
-    image = gather(perm)
-    return sum(1 for m in valid_vectors(n) if image(m) == m)
+    return sum(1 for m in valid_vectors(n) if act(generator, m) == m)
 
 
 def _next_permutation(seq) -> bool:
@@ -192,7 +194,7 @@ def coeff_eq10d(a) -> int:
         return 0
     if a[0] == a[-1]:
         return coeff_all_equal(a[0], n)
-    _, m, m0, m1, big = _shape(a)
+    m, m0, m1, big = _shape(a)
     rest = big[:-1]
     p = len(rest)
     brace = Fraction(factorial(n - m0 - 1), factorial(m1))
@@ -231,7 +233,7 @@ def coeff_special_ab(a) -> int:
     """C_[a] for shapes {0^M0, 1^M1, a^Ma, b^Mb} with Mb <= 1 and a >= 2."""
     a = as_index_set(a)
     n = len(a)
-    _, m, m0, m1, big = _shape(a)
+    m, m0, m1, big = _shape(a)
     distinct = sorted(set(big))
     if not distinct:
         raise ValueError("shape needs at least one index >= 2")
@@ -274,7 +276,7 @@ def zero_by_corollary6(a) -> bool:
     """Structural zero test for shapes 0..0 1..1 A1 A2 A3 (both branches)."""
     a = as_index_set(a)
     n = len(a)
-    _, m, m0, m1, big = _shape(a)
+    m, m0, m1, big = _shape(a)
     if len(big) != 3 or m0 < 1 or m1 < 1:
         return False
     if sum(a) % n != 0:

@@ -2,14 +2,8 @@
 # canonical vector and one sign map per super orbit, and the orbit-counting
 # formulas.
 
-from collections import namedtuple
-from functools import lru_cache
-
 from . import coeff_engine
-from .coeff_engine import coprime_residues
 from .exactmath import binomial, divisors, euler_phi, mobius, prime_factors
-
-GroupElement = namedtuple("GroupElement", ["shift", "mult"])
 
 
 def _vectors(n: int, top=None):
@@ -55,7 +49,6 @@ def valid_vectors(n: int):
     return list(_vectors(n))
 
 
-@lru_cache(maxsize=32)
 def canonical_vectors(n: int):
     """The lexicographically largest member of every super orbit, in
     lexicographic order.
@@ -151,9 +144,9 @@ def supermultiplet_count(n: int) -> int:
     return _exact_div(total, denom)
 
 
-def _fixed_vector_count(n: int, g: GroupElement) -> int:
-    """Valid vectors fixed by g, by dynamic programming over position cycles."""
-    perm, _ = coeff_engine.group_action(n, g.shift, g.mult)
+def _fixed_vector_count(n: int, perm) -> int:
+    """Valid vectors fixed by a group_action permutation, by dynamic
+    programming over its position cycles."""
     seen = [False] * n
     cycles = []  # (length, position-sum)
     for s in range(n):
@@ -181,6 +174,5 @@ def _fixed_vector_count(n: int, g: GroupElement) -> int:
 
 def count_super_orbits(n: int) -> int:
     """Super-multiplet count by averaging fixed-vector counts over the group."""
-    group = [GroupElement(a, b) for a in range(n) for b in coprime_residues(n)]
-    total = sum(_fixed_vector_count(n, g) for g in group)
-    return _exact_div(total, len(group))
+    table = coeff_engine.group_table(n)
+    return _exact_div(sum(_fixed_vector_count(n, perm) for perm, _, _ in table), len(table))

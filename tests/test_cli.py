@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -230,6 +231,20 @@ def test_multiplets_values_match_leibniz(capsys):
             assert sum(sizes) == doc["footer"]["F"], (n, kind)
 
 
+def test_keys_are_one_character_per_entry(capsys):
+    # an entry of 10 or more prints as A, B, C, ..., so every multiplicity
+    # vector key of N = 10..12 is N characters that decode to a valid vector
+    for n in range(10, 13):
+        for command, column in (("multiplets", 1), ("expand", 0)):
+            code, out = run(capsys, command, str(n), "--format", "csv")
+            assert code == 0
+            for row in list(csv.reader(out.splitlines()))[1:]:
+                key = row[column]
+                assert len(key) == n, (command, key)
+                m = [int(ch, 36) for ch in key]
+                assert sum(m) == n and sum(i * c for i, c in enumerate(m)) % n == 0, key
+
+
 def test_one_evaluation_per_super_orbit(capsys, monkeypatch):
     # N = 8 has 49 super orbits; neither command evaluates more than that.
     # The structural zeros of N = 10 fill 3 super orbits.
@@ -268,14 +283,12 @@ def test_one_walk_per_dimension(capsys, monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(symmetry, name, counting(name))
-    symmetry.canonical_vectors.cache_clear()
     expansion.orbit_values.cache_clear()
     assert run(capsys, "multiplets", "8")[0] == 0
     assert counts == {"valid_vectors": 0, "orbit_signs": 49}
     expansion.orbit_values.cache_clear()
     assert run(capsys, "expand", "8")[0] == 0
     assert counts == {"valid_vectors": 0, "orbit_signs": 49}
-    assert symmetry.canonical_vectors.cache_info().misses == 1
 
 
 def test_zeros_counts(capsys):
@@ -314,7 +327,8 @@ def test_zeros_lists_without_scanning(capsys, monkeypatch):
 def test_orbit_route_does_not_reduce(capsys, monkeypatch):
     # the orbit table evaluates each canonical vector as generated: a
     # canonical vector already stands for its orbit, so nothing on the
-    # expand, multiplets or zeros (N <= 8) route reduces it
+    # expand, multiplets or zeros route reduces it; above N = 8 zeros checks
+    # each corollary-6 orbit at its canonical member
     def refuse(a):
         raise AssertionError("reduce_representative(%s) called" % (a,))
 
@@ -324,7 +338,7 @@ def test_orbit_route_does_not_reduce(capsys, monkeypatch):
         assert run(capsys, "expand", str(n))[0] == 0, n
     for n in range(2, 11):
         assert run(capsys, "multiplets", str(n))[0] == 0, n
-    for n in range(2, 9):
+    for n in range(2, 13):
         assert run(capsys, "zeros", str(n))[0] == 0, n
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from circulant.exactmath import (binomial, divisors, euler_phi, factorial,
-                                 mobius, mod_inverse, prime_factors)
+                                 mobius, prime_factors)
 from circulant.oracles import multinomial_star
 from circulant.partitions import integer_partitions
 
@@ -76,16 +76,6 @@ def test_mobius_totient_convolution():
 def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
-
-
-def test_mod_inverse():
-    assert mod_inverse(3, 10) == 7
-    try:
-        mod_inverse(2, 10)
-    except ValueError:
-        pass
-    else:
-        assert False
 
 
 def test_multinomial_star_values():
