@@ -5,6 +5,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 # `partitions` serves only the oracles, which load lazily (coeff --check and
@@ -16,6 +17,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_ORACLE_MISMATCH = 3
+# the reader closed stdout early (`... | head`): 128 + SIGPIPE, the status a
+# shell reports for a writer that the signal ended
+EXIT_PIPE_CLOSED = 141
 
 # coeff --check walks every distinct arrangement of the indices (up to N! of
 # them): 9 s for 0..9 at N = 10 with Python 3.11 on one core, hours by N = 14
@@ -64,8 +68,9 @@ KEY_DIGITS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def _key(m):
-    """A multiplicity vector as one character per entry: 0-9, then A, B, C,
-    ... (read back with int(ch, 36)), so keys stay N characters long."""
+    """A multiplicity vector, or an index set, as one character per entry:
+    0-9, then A, B, C, ... (read back with int(ch, 36)), so both stay N
+    characters long."""
     return "".join(KEY_DIGITS[c] for c in m)
 
 
@@ -187,7 +192,7 @@ def cmd_zeros(args):
         print(json.dumps(doc, separators=(",", ":")))
     else:
         for a, kind in report:
-            print("%s %s" % ("".join(str(x) for x in a), kind))
+            print("%s %s" % (_key(a), kind))
         print("total %d" % len(report))
     return EXIT_OK
 
@@ -369,10 +374,21 @@ def main(argv=None):
         _parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush inside the try, so a closed pipe is caught here and not in
+        # the interpreter's flush at exit
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # stop quietly; with stdout on /dev/null the interpreter's final
+        # flush of what is still buffered cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE_CLOSED
 
 
 if __name__ == "__main__":

@@ -29,8 +29,10 @@ class ExpansionPolynomial:
 
     def sorted_terms(self, include_zeros=False):
         """(multiplicity vector, coefficient) pairs sorted by vector: the one
-        listing every output format reads."""
-        return sorted(item for item in self.all_terms.items() if include_zeros or item[1])
+        listing every output format reads. The vectors are unique, so
+        comparing them alone gives the order of comparing the pairs."""
+        return sorted((item for item in self.all_terms.items() if include_zeros or item[1]),
+                      key=itemgetter(0))
 
     def __eq__(self, other):
         return (isinstance(other, ExpansionPolynomial)

@@ -245,6 +245,20 @@ def test_keys_are_one_character_per_entry(capsys):
                 assert sum(m) == n and sum(i * c for i, c in enumerate(m)) % n == 0, key
 
 
+
+def test_zeros_text_is_one_character_per_index(capsys):
+    # the indices 10 and 11 print as A and B, so every index set of N = 12
+    # is N characters that read back as a listed zero
+    code, out = run(capsys, "zeros", "12")
+    assert code == 0
+    lines = out.splitlines()
+    listed = {a for a, _ in cli.zeros_report(12)}
+    assert lines[-1] == "total %d" % len(listed)
+    for line in lines[:-1]:
+        text, _ = line.split()
+        assert len(text) == 12, line
+        assert tuple(int(ch, 36) for ch in text) in listed, line
+
 def test_one_evaluation_per_super_orbit(capsys, monkeypatch):
     # N = 8 has 49 super orbits; neither command evaluates more than that.
     # The structural zeros of N = 10 fill 3 super orbits.
@@ -417,6 +431,19 @@ def test_console_script_subprocess():
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-3"
 
+
+
+def test_closed_pipe_exits_quietly():
+    # expand 10 --format csv prints 120 KB, more than a pipe buffers, so the
+    # child is still writing when its reader closes after the first line
+    with subprocess.Popen(
+            [sys.executable, "-m", "circulant.cli", "expand", "10", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as proc:
+        assert proc.stdout.readline() == b"M,coeff\r\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE_CLOSED
+    assert stderr == b""
 
 def test_import_loads_no_oracles():
     # only coeff --check and verify need the oracles, and with them fractions

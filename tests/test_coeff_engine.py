@@ -193,8 +193,11 @@ def test_reduce_representative_matches_search():
             assert ce.reduce_representative(a) == _reduce_representative_by_search(a), a
 
 
-# Reference: coeff_engine._partition_sum as a dense DP, which walks every
-# (content, part) pair and drops the parts with x > M1 one pair at a time.
+# Reference: coeff_engine._partition_sum as a dense DP over contents (equal
+# labels merged into a count per distinct value, with binomial label
+# choices), which walks every (content, part) pair and drops the parts with
+# x > M1 one pair at a time. `_partition_sum` runs over labeled subsets, so
+# the two share neither state layout nor weights.
 def _partition_sum_dense(rest, n, m0, m1):
     """Sum over labeled set partitions P of `rest` of prod_parts (z-1)! * Lambda(P).
 
@@ -273,6 +276,25 @@ def test_partition_sum_edge_cases():
         got = ce._partition_sum(rest, n, m0, m1)
         assert got == _partition_sum_dense(rest, n, m0, m1), (rest, n, m0, m1)
         assert got == want if want is not None else got != 0, (rest, n, m0, m1)
+
+
+def test_partition_sum_matches_dense_dp_large_p():
+    # p = 9..13 labels, beyond the 8 the hypothesis test draws: at each p one
+    # all-distinct tail (M1 cycling through 0..3, as the dense DP's all-distinct
+    # cost grows as 3^p) and one tail with repeated values for every M1 = 0..3
+    rng = random.Random(18)
+    for p in range(9, 14):
+        for distinct, m1 in [(True, (p - 9) % 4)] + [(False, m1) for m1 in range(4)]:
+            m0 = rng.randrange(1, 4)
+            n = m0 + m1 + p + 1
+            if distinct:
+                rest = tuple(sorted(rng.sample(range(2, n), p)))
+            else:
+                # more labels than values, so some value repeats
+                values = rng.sample(range(2, n), p // 3 + 1)
+                rest = tuple(sorted(rng.choice(values) for _ in range(p)))
+            args = rest, n, m0, m1
+            assert ce._partition_sum(*args) == _partition_sum_dense(*args), args
 
 
 def test_reduce_representative_preserves_value():

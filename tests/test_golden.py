@@ -7,13 +7,15 @@
 # N <= 6 and a fixed list at N = 14 and 16. Keys of multiplicity vectors
 # print one character per entry, 0-9 then A, B, C, ...; the outputs with
 # an entry of 10 or more (multiplets 10..12, expand 10..12 in csv and text)
-# were pinned after that key format was introduced.
+# were pinned after that key format was introduced. `zeros` text prints its
+# index sets the same way; only `zeros 12` has an index of 10 or more, and
+# its text hash was pinned after that change.
 
 import functools
 import hashlib
 import itertools
 
-from circulant import cli, expansion
+from circulant import cli, coeff_engine, expansion
 
 GOLDEN = {
     ("multiplets", 2, "json"): "0e93ac82483e89c18d2441a480395be8ea256aa12126929b0d1890deaf1c202f",
@@ -70,7 +72,7 @@ GOLDEN = {
     ("multiplets", 12, "csv"): "6acc8892ae365c5664f7757a2bc4aecbe44d2e52fb2aacd45fe09b7b48ccb22a",
     ("multiplets", 12, "text"): "4d21944168912ac92648438f00209d3215d1e013249ff3d5ad4d0e8977608367",
     ("zeros", 12, "json"): "975ca5a06ecb7e760ba3434a041fd501d5b7d4b21e357934ab96c191e215aa09",
-    ("zeros", 12, "text"): "6563a2165e304f19c9534d12bf59ace49c97ed9bfdeeac48d03550339fab2ba0",
+    ("zeros", 12, "text"): "fc578871f38350f574491cb0e3defe49c162cba119abeecff861cf0fd0eb6719",
     ("expand", 1, "json"): "0b60999e80723e1cc2555354305ca1f74a779c3680db6d7dda1b89c380168312",
     ("expand", 1, "json", "--include-zeros"): "0b60999e80723e1cc2555354305ca1f74a779c3680db6d7dda1b89c380168312",
     ("expand", 1, "csv"): "b5564207ea65b351ace08fd57991ea4b85f697b6107e0478fc0e163066ccd180",
@@ -207,3 +209,11 @@ def test_coeff_outputs_match_golden_hashes(capsys):
             outs.append(capsys.readouterr().out)
         got[n, fmt] = hashlib.sha256("".join(outs).encode()).hexdigest()
     assert got == COEFF_GOLDEN
+
+
+def test_all_distinct_coefficients():
+    # 0, 1, ..., N-1: every index distinct, the largest partition sum at N
+    # (p = N - 3 labels); values computed by a DP over merged contents, the
+    # method of test_coeff_engine._partition_sum_dense, not over labeled subsets
+    assert coeff_engine.coefficient(range(15)) == 30375
+    assert coeff_engine.coefficient(range(17)) == 25219857
