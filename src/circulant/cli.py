@@ -383,13 +383,25 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
-        # stop quietly; with stdout on /dev/null the interpreter's final
-        # flush of what is still buffered cannot raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
         return EXIT_PIPE_CLOSED
 
 
+def run():
+    """Process entry point (the `circulant` script and `python -m
+    circulant.cli`): main, then exit with its code.
+
+    After a closed pipe, stdout goes to /dev/null, so the interpreter's
+    final flush of what is still buffered cannot raise again. That is done
+    here, where the process ends, and not in main, which may be called
+    again in the same process.
+    """
+    code = main()
+    if code == EXIT_PIPE_CLOSED:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -444,6 +445,24 @@ def test_closed_pipe_exits_quietly():
         stderr = proc.stderr.read()
         assert proc.wait(timeout=60) == cli.EXIT_PIPE_CLOSED
     assert stderr == b""
+
+
+def test_closed_pipe_in_process_leaves_stdout_for_later_calls(monkeypatch, capsys):
+    # main may be called many times in one process: a closed pipe ends only
+    # the call that met it, and the process's fd 1 is left alone
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    def no_dup2(*args):
+        raise AssertionError("main redirected a file descriptor")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "dup2", no_dup2)
+        m.setattr(sys, "stdout", ClosedPipe())
+        assert cli.main(["coeff", "3", "0,1,2"]) == cli.EXIT_PIPE_CLOSED
+    assert cli.main(["coeff", "3", "0,1,2"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "-3\n"
 
 def test_import_loads_no_oracles():
     # only coeff --check and verify need the oracles, and with them fractions

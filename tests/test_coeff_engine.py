@@ -195,9 +195,10 @@ def test_reduce_representative_matches_search():
 
 # Reference: coeff_engine._partition_sum as a dense DP over contents (equal
 # labels merged into a count per distinct value, with binomial label
-# choices), which walks every (content, part) pair and drops the parts with
-# x > M1 one pair at a time. `_partition_sum` runs over labeled subsets, so
-# the two share neither state layout nor weights.
+# choices), which pulls each content's row from every sub-content and drops
+# the parts with x > M1 one pair at a time. The engine's two kernels push
+# rows forward over the reachable states only; the labeled one shares
+# neither state layout nor weights with this reference.
 def _partition_sum_dense(rest, n, m0, m1):
     """Sum over labeled set partitions P of `rest` of prod_parts (z-1)! * Lambda(P).
 
@@ -259,6 +260,9 @@ def _partition_sum_dense(rest, n, m0, m1):
     return total
 
 
+KERNELS = (ce._partition_sum_by_label, ce._partition_sum_by_content)
+
+
 def test_partition_sum_edge_cases():
     # (rest, N, M0, M1, the value, or None where it is only known to be nonzero)
     cases = [
@@ -276,6 +280,8 @@ def test_partition_sum_edge_cases():
         got = ce._partition_sum(rest, n, m0, m1)
         assert got == _partition_sum_dense(rest, n, m0, m1), (rest, n, m0, m1)
         assert got == want if want is not None else got != 0, (rest, n, m0, m1)
+        for kernel in KERNELS:
+            assert kernel(rest, n, m0, m1) == got, (kernel.__name__, rest, n, m0, m1)
 
 
 def test_partition_sum_matches_dense_dp_large_p():
@@ -294,7 +300,27 @@ def test_partition_sum_matches_dense_dp_large_p():
                 values = rng.sample(range(2, n), p // 3 + 1)
                 rest = tuple(sorted(rng.choice(values) for _ in range(p)))
             args = rest, n, m0, m1
-            assert ce._partition_sum(*args) == _partition_sum_dense(*args), args
+            want = _partition_sum_dense(*args)
+            for kernel in KERNELS:
+                assert kernel(*args) == want, (kernel.__name__, args)
+
+
+def test_partition_sum_kernel_follows_tail_shape(monkeypatch):
+    # a tail of one repeated value has p + 1 contents but 2^p labeled
+    # subsets: 0^20 2^20 leaves 19 labels, 0^25 2^25 leaves 24 (16.7M
+    # subsets). Values taken with the content DP alone.
+    def refuse(*args):
+        raise AssertionError("wrong kernel for this tail")
+
+    monkeypatch.setattr(ce, "_partition_sum_by_label", refuse)
+    assert ce.coefficient((0,) * 20 + (2,) * 20) == -2
+    assert ce.coefficient((0,) * 25 + (2,) * 25) == 2
+    monkeypatch.undo()
+    # every label distinct: the same 2^p states either way, and the labeled
+    # ones are cheaper
+    monkeypatch.setattr(ce, "_partition_sum_by_content", refuse)
+    assert ce.coefficient(range(12)) == ce.coeff_theorem3(range(12))
+    assert ce._partition_sum((2, 3, 3, 5, 7, 9, 11), 16, 2, 1) != 0
 
 
 def test_reduce_representative_preserves_value():

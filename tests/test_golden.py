@@ -213,7 +213,7 @@ def test_coeff_outputs_match_golden_hashes(capsys):
 
 def test_all_distinct_coefficients():
     # 0, 1, ..., N-1: every index distinct, the largest partition sum at N
-    # (p = N - 3 labels); values computed by a DP over merged contents, the
-    # method of test_coeff_engine._partition_sum_dense, not over labeled subsets
+    # (p = N - 3 labels); values computed by the DP over merged contents
+    # alone, not over labeled subsets
     assert coeff_engine.coefficient(range(15)) == 30375
     assert coeff_engine.coefficient(range(17)) == 25219857

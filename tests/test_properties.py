@@ -77,7 +77,10 @@ def partition_sum_args(draw):
 @settings(max_examples=300, deadline=None)
 @given(partition_sum_args())
 def test_partition_sum_matches_dense_dp(args):
-    assert ce._partition_sum(*args) == _partition_sum_dense(*args)
+    want = _partition_sum_dense(*args)
+    assert ce._partition_sum(*args) == want
+    assert ce._partition_sum_by_label(*args) == want
+    assert ce._partition_sum_by_content(*args) == want
 
 
 @st.composite
