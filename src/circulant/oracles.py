@@ -186,8 +186,8 @@ def coeff_eq10d(a) -> int:
     """C_[a] by enumerating the labeled-position partition sum term by term.
 
     The engine's coeff_theorem3 evaluates the same sum by a DP over the
-    subsets of its labels; this is the independent enumeration it is checked
-    against.
+    subsets of its labels or over their sub-multisets; this is the
+    independent enumeration it is checked against.
     """
     a = as_index_set(a)
     n = len(a)
