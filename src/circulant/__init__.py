@@ -1,10 +1,9 @@
 """Exact monomial expansion of circulant determinants."""
 
 from .coeff_engine import coefficient, coefficient_with_path, reduce_representative
-from .expansion import ExpansionPolynomial, evaluate, expand
+from .expansion import evaluate, expand
 
 __all__ = [
-    "ExpansionPolynomial",
     "coefficient",
     "coefficient_with_path",
     "evaluate",

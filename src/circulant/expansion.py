@@ -1,58 +1,42 @@
 # Assemble the full determinant expansion, and the multiplet rows, for one dimension.
 
+import math
 from functools import lru_cache
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from . import coeff_engine, symmetry
 
 MAX_N = 12
 
 
-class ExpansionPolynomial:
-    """Sparse polynomial keyed by multiplicity vectors.
+def expand(n: int):
+    """Every (multiplicity vector, coefficient) pair of dimension n, zeros
+    included, sorted by vector: the one listing every output format reads.
 
-    The terms are stored once, in the dict the polynomial is given
-    (`all_terms`), zero coefficients included; `terms` and `evaluate` skip
-    the zeros, and `sorted_terms` keeps them only when asked.
+    Each super orbit's members and signs come from one group pass
+    (`symmetry.orbit_signs`), and each member's coefficient is its sign
+    times the orbit's value. The vectors are unique, so comparing them
+    alone gives the order of comparing the pairs.
     """
-
-    def __init__(self, n, all_terms):
-        self.n = n
-        self.all_terms = all_terms
-
-    @property
-    def terms(self):
-        return {k: v for k, v in self.all_terms.items() if v}
-
-    def coefficient(self, key):
-        return self.all_terms.get(tuple(key), 0)
-
-    def sorted_terms(self, include_zeros=False):
-        """(multiplicity vector, coefficient) pairs sorted by vector: the one
-        listing every output format reads. The vectors are unique, so
-        comparing them alone gives the order of comparing the pairs."""
-        return sorted((item for item in self.all_terms.items() if include_zeros or item[1]),
-                      key=itemgetter(0))
-
-    def __eq__(self, other):
-        return (isinstance(other, ExpansionPolynomial)
-                and self.n == other.n and self.terms == other.terms)
+    return sorted(((member, sign * value)
+                   for m, value in orbit_values(n)  # ValueError for n outside [1, MAX_N]
+                   for member, sign in symmetry.orbit_signs(m).items()),
+                  key=itemgetter(0))
 
 
-def expand(n: int) -> ExpansionPolynomial:
-    """Every coefficient, filled in from the orbit values by one pass over
-    the group per super orbit: the image of the canonical vector under
-    x -> b*x + k carries the group element's sign times its value."""
-    values = orbit_values(n)  # ValueError for n outside [1, MAX_N]
-    table = coeff_engine.group_table(n)
-    terms = {}
-    for m, value in values:
-        for _, sign, image in table:
-            signed = sign * value
-            # an image reached with both signs must have value 0
-            got = terms.setdefault(image(m), signed)
-            assert got == signed, "sign-conflicted orbit must carry a zero coefficient"
-    return ExpansionPolynomial(n, terms)
+def evaluate(n: int, x) -> int:
+    """det circ(x_0..x_{n-1}) from the orbit table: each orbit's value times
+    the sum over its members of sign * x^member, with no term list built."""
+    if len(x) != n:
+        raise ValueError("need %d values" % n)
+    # powers[i][c] = x_i^c, so a member's monomial reads one entry per index
+    powers = [[v ** c for c in range(n + 1)] for v in x]
+    total = 0
+    for m, value in orbit_values(n):
+        if value:
+            total += value * sum(sign * math.prod(map(getitem, powers, member))
+                                 for member, sign in symmetry.orbit_signs(m).items())
+    return total
 
 
 @lru_cache(maxsize=32)
@@ -93,16 +77,3 @@ def multiplet_rows(n: int):
     additive.sort(key=itemgetter(1))
     supers.sort(key=itemgetter(1))
     return additive + supers
-
-
-def evaluate(poly: ExpansionPolynomial, x) -> int:
-    if len(x) != poly.n:
-        raise ValueError("need %d values" % poly.n)
-    total = 0
-    for key, coeff in ((k, c) for k, c in poly.all_terms.items() if c):
-        prod = coeff
-        for value, count in enumerate(key):
-            if count:
-                prod *= x[value] ** count
-        total += prod
-    return total

@@ -347,11 +347,9 @@ def power_identity_check(n: int, d: int) -> bool:
     small = n // d
     # left side: the nonzero terms supported on multiples of d only
     left = {tuple(m[value] for value in range(0, n, d)): c
-            for m, c in expand(n).terms.items()
-            if all(count == 0 for value, count in enumerate(m) if value % d)}
-    small_poly = expand(small).terms
-    right = _poly_power(
-        {tuple(k): v for k, v in small_poly.items()}, d, small)
+            for m, c in expand(n)
+            if c and all(count == 0 for value, count in enumerate(m) if value % d)}
+    right = _poly_power({m: c for m, c in expand(small) if c}, d, small)
     return left == right
 
 

@@ -9,7 +9,6 @@ import time
 import circulant
 from circulant import cli, coeff_engine, expansion, oracles, symmetry
 from circulant.coeff_engine import indices_from_multiplicities
-from circulant.expansion import ExpansionPolynomial
 from circulant.symmetry import valid_vectors
 
 
@@ -55,6 +54,16 @@ def test_coeff_check_refused_above_window(capsys):
     t0 = time.time()
     assert run(capsys, "coeff", "12", "0,0,1,2,3,4,5,7,8,9,10,11", "--check")[0] == 2
     assert time.time() - t0 < 5.0
+
+
+def test_coeff_refused_above_state_limit(capsys):
+    # every index distinct at N = 23 leaves 20 labels, 2^20 labeled subsets
+    t0 = time.time()
+    code, out, err = _call(capsys, ["coeff", "23", ",".join(map(str, range(23)))])
+    assert time.time() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: the partition sum needs %d states, above the limit of %d\n" % (
+        1 << 20, coeff_engine.MAX_PARTITION_STATES)
 
 
 def test_coeff_check_mismatch(capsys, monkeypatch):
@@ -151,8 +160,8 @@ def test_expand_json_round_trip(capsys):
         assert doc["N"] == n
         keys = [tuple(t["M"]) for t in doc["terms"]]
         assert keys == sorted(keys)
-        want = ExpansionPolynomial(n, oracles.leibniz_expansion(n))
-        assert line == cli.poly_to_json(want), n
+        want = sorted(oracles.leibniz_expansion(n).items())
+        assert line == cli.poly_to_json(n, want), n
 
 
 def test_expand_text_groups_by_partition(capsys):
@@ -284,8 +293,8 @@ def test_one_evaluation_per_super_orbit(capsys, monkeypatch):
 
 def test_one_walk_per_dimension(capsys, monkeypatch):
     # multiplets 8 generates the 49 canonical vectors once and makes one
-    # group pass over each; expand 8 then evaluates from the same canonical
-    # vectors with its own fill-in pass. Neither walks the valid vectors.
+    # group pass over each; expand 8 makes one more group pass over each.
+    # Neither walks the valid vectors.
     counts = {"valid_vectors": 0, "orbit_signs": 0}
 
     def counting(name):
@@ -303,7 +312,7 @@ def test_one_walk_per_dimension(capsys, monkeypatch):
     assert counts == {"valid_vectors": 0, "orbit_signs": 49}
     expansion.orbit_values.cache_clear()
     assert run(capsys, "expand", "8")[0] == 0
-    assert counts == {"valid_vectors": 0, "orbit_signs": 49}
+    assert counts == {"valid_vectors": 0, "orbit_signs": 98}
 
 
 def test_zeros_counts(capsys):
@@ -386,6 +395,36 @@ def test_verify_determinant_catches_one_wrong_coefficient(capsys, monkeypatch):
         expansion.orbit_values.cache_clear()
     assert code == 1
     assert out.startswith("determinant: FAIL (expansion differs from the determinant at N=6")
+
+
+def test_verify_suites_evaluate_without_the_expansion(capsys, monkeypatch):
+    # the identities and determinant suites evaluate the orbit table orbit
+    # by orbit and never list the terms
+    def refuse(n):
+        raise AssertionError("expand(%d) called" % n)
+
+    monkeypatch.setattr(expansion, "expand", refuse)
+    for suite in ("identities", "determinant"):
+        code, out = run(capsys, "verify", "2..12", "--suite", suite)
+        assert (code, out) == (0, "%s: pass\n" % suite)
+
+
+def test_verify_identities_catches_one_wrong_orbit_value(capsys, monkeypatch):
+    # every sign is +1 at odd N, so one orbit value off by one moves the
+    # all-ones determinant by the orbit's size
+    original = expansion.orbit_values
+
+    def off_by_one(n):
+        table = original(n)
+        if n == 7:
+            m, value = table[5]
+            table = table[:5] + ((m, value + 1),) + table[6:]
+        return table
+
+    monkeypatch.setattr(expansion, "orbit_values", off_by_one)
+    code, out = run(capsys, "verify", "2..9", "--suite", "identities")
+    assert code == 1
+    assert out == "identities: FAIL (det of all-ones not zero at N=7)\n"
 
 
 def test_verify_single_suite(capsys):

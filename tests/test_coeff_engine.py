@@ -2,6 +2,8 @@ import itertools
 import math
 import random
 
+import pytest
+
 from circulant import coeff_engine as ce, oracles
 from circulant.exactmath import binomial, factorial
 from circulant.oracles import classify
@@ -321,6 +323,24 @@ def test_partition_sum_kernel_follows_tail_shape(monkeypatch):
     monkeypatch.setattr(ce, "_partition_sum_by_content", refuse)
     assert ce.coefficient(range(12)) == ce.coeff_theorem3(range(12))
     assert ce._partition_sum((2, 3, 3, 5, 7, 9, 11), 16, 2, 1) != 0
+
+
+def test_partition_sum_refuses_above_state_limit(monkeypatch):
+    # the refusal comes before either kernel runs, for the shape each takes;
+    # a kernel reached here raises AssertionError
+    def refuse(*args):
+        raise AssertionError("kernel reached")
+
+    monkeypatch.setattr(ce, "_partition_sum_by_label", refuse)
+    monkeypatch.setattr(ce, "_partition_sum_by_content", refuse)
+    # 19 distinct labels: 2^19 labeled subsets; 18 are at the limit and run
+    with pytest.raises(ce.StateLimitError, match="needs 524288 states"):
+        ce._partition_sum(tuple(range(2, 21)), 23, 1, 1)
+    with pytest.raises(AssertionError, match="kernel reached"):
+        ce._partition_sum(tuple(range(2, 20)), 23, 1, 1)
+    # twelve values twice each: 3^12 sub-multisets, far fewer than 2^24 subsets
+    with pytest.raises(ce.StateLimitError, match="needs 531441 states"):
+        ce._partition_sum(tuple(v for v in range(2, 14) for _ in range(2)), 29, 2, 1)
 
 
 def test_reduce_representative_preserves_value():

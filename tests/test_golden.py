@@ -183,7 +183,7 @@ COEFF_GOLDEN = {
 def test_orbit_outputs_match_golden_hashes(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     # the keys list each N's six expand outputs together; build its
-    # polynomial once for them (about 1 s of fill-ins otherwise)
+    # term list once for them (about 1 s of group passes otherwise)
     monkeypatch.setattr(expansion, "expand", functools.lru_cache(maxsize=1)(expansion.expand))
     got = {}
     for key in GOLDEN:
