@@ -1,12 +1,12 @@
 # Command-line front end: coefficients, expansions, multiplet tables, zero
 # lists and verification suites.
 
-import argparse
 import csv
 import io
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 # `partitions` serves only the oracles, which load lazily (coeff --check and
 # verify); it is imported here because perfbench/layers.py wraps
@@ -59,8 +59,8 @@ def poly_to_json(n, terms, include_zeros=False) -> str:
     # one string per term, with no dict or list per term (those set expand 12's
     # peak RSS); the same bytes as json.dumps of
     # {"N": n, "terms": [{"M": [...], "coeff": "..."}, ...]} with no spaces
-    body = ",".join('{"M":[%s],"coeff":"%d"}' % (",".join(map(str, key)), value)
-                    for key, value in terms if include_zeros or value)
+    term = '{"M":[%s],"coeff":"%%d"}' % ",".join(["%d"] * n)  # one format for every term
+    body = ",".join(term % (*key, value) for key, value in terms if include_zeros or value)
     return '{"N":%d,"terms":[%s]}' % (n, body)
 
 
@@ -298,7 +298,7 @@ def cmd_verify(args):
     lo, hi = _parse_range(args.range)
     if lo > hi:
         raise UsageError("empty range %d..%d" % (lo, hi))
-    names = [args.suite] if args.suite else sorted(SUITES)
+    names = sorted(SUITES) if args.suite is None else [args.suite]
     for name in names:
         if name not in SUITES:
             raise UsageError("unknown suite %r" % name)
@@ -322,67 +322,135 @@ def cmd_verify(args):
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(prog="circulant",
-                                     description="exact circulant determinant expansions")
-    sub = parser.add_subparsers(dest="command")
+# command -> (function, help line, positionals, options). An option maps to
+# (help, values): values None makes it a flag, off by default; a tuple makes
+# it take one of those values, the first by default; () takes any value and
+# defaults to None
+COMMANDS = {
+    "coeff": (cmd_coeff, "one expansion coefficient", ("N", "indices"), {
+        "--mult": ("read the argument as a multiplicity vector", None),
+        "--check": ("compare with the arrangement-counting oracle (N <= %d)" % CHECK_MAX_N,
+                    None),
+        "--format": ("output format", ("text", "json"))}),
+    "expand": (cmd_expand, "full determinant expansion", ("N",), {
+        "--include-zeros": ("list the zero coefficients too", None),
+        "--format": ("output format", ("text", "json", "csv"))}),
+    "multiplets": (cmd_multiplets, "orbit table", ("N",), {
+        "--format": ("output format", ("text", "json", "csv"))}),
+    "zeros": (cmd_zeros, "vanishing coefficients", ("N",), {
+        "--format": ("output format", ("text", "json"))}),
+    "verify": (cmd_verify, "run invariant suites", ("range",), {
+        "--suite": ("run only this suite: %s" % ", ".join(sorted(SUITES)), ())}),
+}
 
-    def common(p, formats):
-        p.add_argument("--format", choices=formats, default="text")
-
-    p = sub.add_parser("coeff", help="one expansion coefficient")
-    p.add_argument("N", type=int)
-    p.add_argument("indices")
-    p.add_argument("--mult", action="store_true",
-                   help="read the argument as a multiplicity vector")
-    p.add_argument("--check", action="store_true",
-                   help="compare with the arrangement-counting oracle (N <= %d)"
-                   % CHECK_MAX_N)
-    common(p, ["json", "text"])
-    p.set_defaults(func=cmd_coeff)
-
-    p = sub.add_parser("expand", help="full determinant expansion")
-    p.add_argument("N", type=int)
-    p.add_argument("--include-zeros", action="store_true")
-    common(p, ["json", "csv", "text"])
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("multiplets", help="orbit table")
-    p.add_argument("N", type=int)
-    common(p, ["json", "csv", "text"])
-    p.set_defaults(func=cmd_multiplets)
-
-    p = sub.add_parser("zeros", help="vanishing coefficients")
-    p.add_argument("N", type=int)
-    common(p, ["json", "text"])
-    p.set_defaults(func=cmd_zeros)
-
-    p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("range")
-    p.add_argument("--suite")
-    p.set_defaults(func=cmd_verify)
-    return parser
+USAGE = "usage: circulant {%s} ..." % ",".join(COMMANDS)
+HELP_FLAGS = ("-h", "--help")
 
 
-_parser = None  # built by the first main call, then reused
+def _is_option(tok):
+    """An option-like token: a dash and more, but not a negative number."""
+    return len(tok) > 1 and tok[0] == "-" and not tok[1].isdigit()
+
+
+def _dest(option):
+    return option[2:].replace("-", "_")
+
+
+def parse_args(argv):
+    """The namespace of one command line, with the attributes the command's
+    function reads and `func`, the function; UsageError for a bad one.
+
+    Options take their full names only, anywhere after the command, with a
+    value as `--opt value` or `--opt=value`; `--` ends the options, and a
+    negative number such as -5 is a positional. -h or --help before any `--`
+    asks for help: `func` then prints it.
+    """
+    if not argv:
+        raise UsageError("no command")
+    name, rest = argv[0], argv[1:]
+    if name in HELP_FLAGS:
+        return SimpleNamespace(func=_print_help, command=None)
+    if name not in COMMANDS:
+        raise UsageError("unknown command %r (choose from %s)" % (name, ", ".join(COMMANDS)))
+    func, _, positionals, options = COMMANDS[name]
+    if any(tok in HELP_FLAGS for tok in rest[:rest.index("--") if "--" in rest else None]):
+        return SimpleNamespace(func=_print_help, command=name)
+    args = SimpleNamespace(func=func, command=name, **{
+        _dest(opt): False if values is None else values[0] if values else None
+        for opt, (_, values) in options.items()})
+    found = []
+    tokens = iter(rest)
+    for tok in tokens:
+        if tok == "--":
+            found.extend(tokens)
+        elif not _is_option(tok):
+            found.append(tok)
+        else:
+            opt, eq, value = tok.partition("=")
+            if opt not in options:
+                raise UsageError("%s: unknown option %s" % (name, opt))
+            values = options[opt][1]
+            if values is None:
+                if eq:
+                    raise UsageError("%s: %s takes no value" % (name, opt))
+                value = True
+            elif not eq:
+                value = next(tokens, None)
+                if value is None or _is_option(value):
+                    raise UsageError("%s: %s needs a value" % (name, opt))
+            if values and value not in values:
+                raise UsageError("%s: %s must be one of %s, not %r"
+                                 % (name, opt, ", ".join(values), value))
+            setattr(args, _dest(opt), value)
+    if len(found) > len(positionals):
+        raise UsageError("%s: unexpected argument %r" % (name, found[len(positionals)]))
+    if len(found) < len(positionals):
+        raise UsageError("%s: missing %s" % (name, " ".join(positionals[len(found):])))
+    for positional, value in zip(positionals, found):
+        if positional == "N":
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError("%s: N must be an integer, not %r" % (name, value))
+        setattr(args, positional, value)
+    return args
+
+
+def _print_help(args):
+    """The usage line, then one line per command, or per option of one."""
+    if args.command is None:
+        usage = USAGE
+        rows = [(name, spec[1]) for name, spec in COMMANDS.items()]
+    else:
+        _, _, positionals, options = COMMANDS[args.command]
+        rows = []
+        for opt, (text, values) in options.items():
+            if values:
+                opt = "%s {%s}" % (opt, ",".join(values))
+                text = "%s, %s by default" % (text, values[0])
+            elif values is not None:
+                opt = "%s %s" % (opt, _dest(opt).upper())
+            rows.append((opt, text))
+        usage = " ".join(["usage: circulant", args.command, *positionals]
+                         + ["[%s]" % opt for opt, _ in rows])
+    rows.append((", ".join(HELP_FLAGS), "show this help and exit"))
+    width = max(len(opt) for opt, _ in rows)
+    print("\n".join([usage] + ["  %-*s  %s" % (width, opt, text) for opt, text in rows]))
+    return EXIT_OK
 
 
 def main(argv=None):
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
-    if not getattr(args, "func", None):
-        _parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = parse_args(argv)
         code = args.func(args)
         # flush inside the try, so a closed pipe is caught here and not in
         # the interpreter's flush at exit
         sys.stdout.flush()
         return code
     except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        # no command at all gets the usage line as its reminder
+        print("error: %s" % exc if argv else USAGE, file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_PIPE_CLOSED

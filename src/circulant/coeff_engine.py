@@ -51,14 +51,21 @@ def _shape(a):
     return m, m[0], m[1] if len(a) > 1 else 0, [x for x in a if x >= 2]
 
 
-# The most states either partition-sum DP may take: 2^18, every index
-# distinct at N = 21, about 12 s and 26 MB cold with Python 3.11 on one core.
-# Each further label triples the time.
+# The most states each partition-sum DP may take, for about the same worst
+# time with Python 3.11 on one core. Over labeled subsets 2^18: every index
+# distinct at N = 21, about 12 s and 26 MB cold, and each further label
+# triples the time. Over sub-multisets a state costs more, as each pushes to
+# more parts: 2^15, where the worst shapes measured at M0 = M1 = 3 (seven
+# values three times and one once, or five twice and seven once) took 6 s
+# and 25 MB, and 4^8 (eight values three times, M0 = 6) took 17 s.
 MAX_PARTITION_STATES = 1 << 18
+MAX_CONTENT_STATES = 1 << 15
 
 
 class StateLimitError(ValueError):
-    """A partition sum whose DP would take more than MAX_PARTITION_STATES states."""
+    """A partition sum whose DP would take more states than its limit:
+    MAX_PARTITION_STATES over labeled subsets, MAX_CONTENT_STATES over
+    sub-multisets."""
 
 
 def _partition_sum(rest, n, m0, m1):
@@ -84,15 +91,16 @@ def _partition_sum(rest, n, m0, m1):
     when one value fills the tail. A labeled state costs less, and the
     labeled DP measured faster up to about 3 times the content DP's states
     (p = 6..16, M1 = 0..3), so it runs when 2^p <= 3 prod_v (m_v+1).
-    Above MAX_PARTITION_STATES of the picked DP's states it raises
-    StateLimitError before building anything.
+    Above the picked DP's limit of states it raises StateLimitError before
+    building anything.
     """
     contents = math.prod(rest.count(v) + 1 for v in set(rest))
     by_label = 1 << len(rest) <= 3 * contents
-    states = 1 << len(rest) if by_label else contents
-    if states > MAX_PARTITION_STATES:
+    states, limit = ((1 << len(rest), MAX_PARTITION_STATES) if by_label
+                     else (contents, MAX_CONTENT_STATES))
+    if states > limit:
         raise StateLimitError("the partition sum needs %d states, above the limit of %d"
-                              % (states, MAX_PARTITION_STATES))
+                              % (states, limit))
     if by_label:
         return _partition_sum_by_label(rest, n, m0, m1)
     return _partition_sum_by_content(rest, n, m0, m1)

@@ -85,46 +85,73 @@ def test_no_command_is_usage_error(capsys):
 
 
 def _call(capsys, argv):
-    """(exit code, stdout, stderr) of one main call, argparse exits included."""
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    """(exit code, stdout, stderr) of one main call."""
+    code = cli.main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
 
 
-def test_reused_parser_matches_fresh_calls(capsys, monkeypatch):
-    calls = [
-        ["coeff", "10", "0,0,1,1,1,1,3,7,8,8", "--format", "json", "--check"],
-        ["coeff", "10", "0,0,1,1,1,1,3,7,8,8", "--format", "json"],
-        ["expand", "5", "--include-zeros", "--format", "csv"],
-        ["expand", "5"],
-        ["coeff", "5"],  # argparse usage error
-        ["coeff", "5", "0,0,1,2,2"],
-        ["coeff", "5", "0,0,1,2,9"],  # UsageError
-        ["zeros", "6", "--format", "json"],
-        ["coeff", "--help"],
-        [],
-        ["verify", "3..4", "--suite", "lemmas"],
-        ["coeff", "6", "2,3,0,1,0,0", "--mult", "--format", "json"],
+def test_command_line_exit_codes(capsys):
+    # every bad command line exits 2 with nothing on stdout and one line on
+    # stderr; help goes to stdout with exit 0
+    cases = [
+        (["coeff", "10", "0,0,1,1,1,1,3,7,8,8", "--format", "json", "--check"], 0),
+        (["coeff", "10", "0,0,1,1,1,1,3,7,8,8", "--format", "json"], 0),
+        (["expand", "5", "--include-zeros", "--format", "csv"], 0),
+        (["expand", "5"], 0),
+        (["coeff", "5"], 2),  # a positional missing
+        (["coeff", "5", "0,0,1,2,2"], 0),
+        (["coeff", "5", "0,0,1,2,9"], 2),  # an index out of range
+        (["zeros", "6", "--format", "json"], 0),
+        (["coeff", "--help"], 0),
+        ([], 2),
+        (["verify", "3..4", "--suite", "lemmas"], 0),
+        (["coeff", "6", "2,3,0,1,0,0", "--mult", "--format", "json"], 0),
+        (["coeff", "5", "0,0,1,2,2", "--format=json"], 0),
+        (["coeff", "--format", "json", "5", "0,0,1,2,2"], 0),
+        (["--help"], 0),
+        (["expand", "--help"], 0),
+        (["coeff", "5", "0,0,1,2,2", "--form", "json"], 2),  # no abbreviations
+        (["bogus"], 2),
+        (["coeff", "-5", "0"], 2),  # a negative N reaches the range checks
+        (["coeff", "5", "0,0,1,2,2", "--mult=1"], 2),
+        (["coeff", "5", "0,0,1,2,2", "--format"], 2),
+        (["coeff", "5", "0,0,1,2,2", "3"], 2),
+        (["expand", "x"], 2),
+        (["verify", "3", "--suite="], 2),  # an empty suite name is no suite
     ]
-    alone = []
-    for argv in calls:
-        monkeypatch.setattr(cli, "_parser", None)
-        alone.append(_call(capsys, argv))
-    builds = [0]
-    original = cli.build_parser
+    outputs = {}
+    for argv, want in cases:
+        code, out, err = _call(capsys, argv)
+        assert code == want, (argv, code, err)
+        if code == 2:
+            assert out == "" and len(err.splitlines()) == 1, (argv, out, err)
+            assert err.startswith("error: " if argv else "usage: circulant "), (argv, err)
+        else:
+            assert err == "", (argv, err)
+        outputs[tuple(argv)] = out
+    # the same document however the option is written or placed
+    json_doc = outputs[("coeff", "5", "0,0,1,2,2", "--format=json")]
+    assert json.loads(json_doc)["value"] == "5"
+    assert outputs[("coeff", "--format", "json", "5", "0,0,1,2,2")] == json_doc
+    assert cli.parse_args(["coeff", "-5", "0"]).N == -5
 
-    def counting():
-        builds[0] += 1
-        return original()
 
-    monkeypatch.setattr(cli, "build_parser", counting)
-    monkeypatch.setattr(cli, "_parser", None)
-    for argv, want in zip(calls, alone):
-        assert _call(capsys, argv) == want, argv
-    assert builds[0] == 1
+def test_help_for_every_command(capsys):
+    # the usage line, then one line per command or per option of the command
+    code, out, err = _call(capsys, ["--help"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == cli.USAGE
+    assert [line.split()[0] for line in lines[1:-1]] == list(cli.COMMANDS)
+    for name, (_, _, positionals, options) in cli.COMMANDS.items():
+        for flag in ("-h", "--help"):
+            code, out, err = _call(capsys, [name, *positionals, flag])
+            assert (code, err) == (0, ""), (name, flag)
+            lines = out.splitlines()
+            assert lines[0].startswith("usage: circulant %s %s" % (name, " ".join(positionals)))
+            assert [line.split()[0] for line in lines[1:-1]] == list(options), name
+            assert lines[-1].split()[:2] == ["-h,", "--help"], name
 
 
 def test_coeff_reduces_once(capsys, monkeypatch):
@@ -212,8 +239,15 @@ def test_format_only_where_implemented(capsys):
 
 
 def test_expand_range_check(capsys):
-    assert run(capsys, "expand", "99")[0] == 2
-    assert run(capsys, "expand", "13")[0] == 2
+    for n in ("99", "13", "0"):
+        assert run(capsys, "expand", n) == (2, ""), n
+
+
+def test_orbit_commands_range_check(capsys):
+    # multiplets and zeros take N = 2..12
+    for command in ("multiplets", "zeros"):
+        for n in ("13", "1"):
+            assert run(capsys, command, n) == (2, ""), (command, n)
 
 
 def test_multiplets_output(capsys):
@@ -504,18 +538,22 @@ def test_closed_pipe_in_process_leaves_stdout_for_later_calls(monkeypatch, capsy
     assert capsys.readouterr().out == "-3\n"
 
 def test_import_loads_no_oracles():
-    # only coeff --check and verify need the oracles, and with them fractions
+    # only coeff --check and verify need the oracles, and with them fractions;
+    # the command line is parsed without argparse
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, circulant.cli\n"
-         "for name in ('circulant.oracles', 'fractions', 'decimal'):\n"
+         "for name in ('circulant.oracles', 'fractions', 'decimal', 'argparse'):\n"
          "    assert name not in sys.modules, name\n"
          # the traced benchmark wraps functions of these modules by name
          "for name in ('cli', 'expansion', 'symmetry', 'coeff_engine', 'partitions',\n"
          "             'exactmath'):\n"
-         "    assert 'circulant.' + name in sys.modules, name"],
+         "    assert 'circulant.' + name in sys.modules, name\n"
+         "assert circulant.cli.main(['coeff', '5', '0,0,1,2,2']) == 0\n"
+         "assert 'argparse' not in sys.modules"],
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "5\n"
 
 
 def test_orbit_commands_load_no_oracles():

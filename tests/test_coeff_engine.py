@@ -343,6 +343,25 @@ def test_partition_sum_refuses_above_state_limit(monkeypatch):
         ce._partition_sum(tuple(v for v in range(2, 14) for _ in range(2)), 29, 2, 1)
 
 
+def test_content_kernel_has_its_own_state_limit(monkeypatch):
+    # a state over sub-multisets costs more than a labeled one, so that
+    # programme's limit is lower; the refusal names it and comes before
+    # either kernel runs
+    def refuse(*args):
+        raise AssertionError("kernel reached")
+
+    monkeypatch.setattr(ce, "_partition_sum_by_label", refuse)
+    monkeypatch.setattr(ce, "_partition_sum_by_content", refuse)
+    assert ce.MAX_CONTENT_STATES < 3 ** 10 < ce.MAX_PARTITION_STATES
+    # ten values twice each: 3^10 sub-multisets, and 2^20 labeled subsets
+    with pytest.raises(ce.StateLimitError,
+                       match="needs 59049 states, above the limit of %d$" % ce.MAX_CONTENT_STATES):
+        ce._partition_sum(tuple(v for v in range(2, 12) for _ in range(2)), 29, 3, 3)
+    # seven values three times and one once: 4^7 * 2 = 2^15, at the limit
+    with pytest.raises(AssertionError, match="kernel reached"):
+        ce._partition_sum(tuple(v for v in range(2, 9) for _ in range(3)) + (9,), 29, 3, 3)
+
+
 def test_reduce_representative_preserves_value():
     rng = random.Random(7)
     for n in range(3, 9):
