@@ -53,11 +53,11 @@ def _shape(a):
 
 # The most states each partition-sum DP may take, for about the same worst
 # time with Python 3.11 on one core. Over labeled subsets 2^18: every index
-# distinct at N = 21, about 12 s and 26 MB cold, and each further label
+# distinct at N = 21, 11-15 s and 23 MB cold, and each further label
 # triples the time. Over sub-multisets a state costs more, as each pushes to
 # more parts: 2^15, where the worst shapes measured at M0 = M1 = 3 (seven
-# values three times and one once, or five twice and seven once) took 6 s
-# and 25 MB, and 4^8 (eight values three times, M0 = 6) took 17 s.
+# values three times and one once, or five twice and seven once) took
+# 4-5 s and 24-25 MB, and 4^8 (eight values three times, M0 = 6) took 12 s.
 MAX_PARTITION_STATES = 1 << 18
 MAX_CONTENT_STATES = 1 << 15
 
@@ -83,7 +83,10 @@ def _partition_sum(rest, n, m0, m1):
 
     with G_T[X] the sum of prod_q (-N)(z_q-1)! C(x_q+z_q-1, z_q-1) over the
     set partitions Q of T with sum_q x_q = X. Only parts with x <= M1 can
-    contribute, as X only grows.
+    contribute, as X only grows. Every x_q is -trace(q) mod N, so
+    sum_q x_q = -trace(T) mod N, and X <= M1 < N leaves one X per T:
+    X_T = -trace(T) mod N. So G_T is one integer, G_T[X_T], and T adds
+    nothing when X_T > M1.
 
     Two DPs build G, and the tail's shape picks one. Over labeled subsets
     there are 2^p states; over contents, a count per distinct value, there
@@ -111,11 +114,11 @@ def _partition_sum_by_label(rest, n, m0, m1):
 
     Each label is one bit, each subset of the labels one bitmask. The live
     parts are found once, from every subset's trace. G is built by pushing
-    forward from each subset s with a nonzero row, smallest first: a live
-    part b extends s when it is disjoint from s and its lowest bit is below
-    s's, so b is the part that holds the lowest label of s | b, and each
-    partition is reached once. Subsets no partition into live parts reaches
-    are never visited. Everything stays in integers.
+    forward from each nonzero subset s, smallest first: a live part b
+    extends s when it is disjoint from s, its lowest bit is below s's and
+    X_s + x_b <= M1, so b is the part that holds the lowest label of s | b,
+    and each partition is reached once. Subsets no partition into live
+    parts reaches are never visited. Everything stays in integers.
     """
     p = len(rest)
     # the trace of every subset, bit i standing for rest[i]
@@ -134,34 +137,24 @@ def _partition_sum_by_label(rest, n, m0, m1):
                 z = b.bit_count()
                 live.append((x, -n * factorial(z - 1) * binomial(x + z - 1, z - 1), b))
     below.append(len(live))
-    # (p-z)! C(N-M0-1-X-z, M1-X) for T of size z and X = sum_q x_q
-    close = [[factorial(p - z) * binomial(n - m0 - 1 - xsum - z, m1 - xsum)
-              for xsum in range(m1 + 1)] for z in range(p + 1)]
-    # G's row of each subset reached so far; s | b > s, so the walk in
-    # increasing order meets every row after its last push, and frees it
-    g = [None] * (1 << p)
-    g[0] = [1] + [0] * m1
+    # G_T of each subset reached so far; s | b > s, so the walk in
+    # increasing order meets every G_T after its last push, and frees it
+    g = [0] * (1 << p)
+    g[0] = 1
     total = 0
-    for s, rem in enumerate(g):
-        if rem is None:
+    for s, gs in enumerate(g):
+        if not gs:
             continue
-        g[s] = None
-        nonzero = [(xsum, gx) for xsum, gx in enumerate(rem) if gx]
-        if not nonzero:
-            continue
+        g[s] = 0
+        xs = -trace[s] % n
         if s:
-            total += sum(gx * c for gx, c in zip(rem, close[s.bit_count()]))
+            z = s.bit_count()
+            total += gs * factorial(p - z) * binomial(n - m0 - 1 - xs - z, m1 - xs)
+        room = m1 - xs
         low = (s & -s).bit_length() - 1 if s else p
         for x, w, b in live[:below[low]]:
-            if b & s:
-                continue
-            row = g[s | b]
-            if row is None:
-                row = g[s | b] = [0] * (m1 + 1)
-            for xsum, gx in nonzero:
-                if xsum + x > m1:
-                    break
-                row[xsum + x] += w * gx
+            if not b & s and x <= room:
+                g[s | b] += w * gs
     return total
 
 
@@ -171,13 +164,14 @@ def _partition_sum_by_content(rest, n, m0, m1):
     prod_v C(m_v, c_v) labeled T have content c.
 
     The live parts are found once, from the sub-contents and their traces.
-    G is built by pushing forward from each content c with a nonzero row,
-    smallest first: a live part b extends c when c + b fits inside the
-    counts and b's first value is at most c's, so b is the part that holds
-    the first copy of the first value of c + b, and each partition is
-    reached once. Its labels can be chosen in prod_v C(c_v+b_v-d_v, b_v-d_v)
-    ways, d_v = [v = first(b)]. Contents no partition into live parts
-    reaches are never visited. Everything stays in integers.
+    G is built by pushing forward from each nonzero content c, smallest
+    first: a live part b extends c when c + b fits inside the counts,
+    X_c + x_b <= M1 and b's first value is at most c's, so b is the part
+    that holds the first copy of the first value of c + b, and each
+    partition is reached once. Its labels can be chosen in
+    prod_v C(c_v+b_v-d_v, b_v-d_v) ways, d_v = [v = first(b)]. Contents no
+    partition into live parts reaches are never visited. Everything stays
+    in integers.
     """
     values = sorted(set(rest))
     counts = [rest.count(v) for v in values]
@@ -199,31 +193,31 @@ def _partition_sum_by_content(rest, n, m0, m1):
                          support, j))
     live.sort(key=lambda part: part[0])
     firsts = [part[0] for part in live]
-    g = {0: [1] + [0] * m1}
+    g = {0: 1}
     total = 0
-    for i, (c, _) in enumerate(subs):
-        rem = g.pop(i, None)
-        if rem is None or not any(rem):
+    for i, (c, t) in enumerate(subs):
+        gc = g.pop(i, 0)
+        if not gc:
             continue
+        xc = -t % n
         first = next((v for v, k in enumerate(c) if k), len(c))
         if i:
             size = sum(c)
             weight = factorial(p - size)
             for k, kc in zip(counts, c):
                 weight *= choose[k][kc]
-            total += weight * sum(gx * binomial(n - m0 - 1 - xsum - size, m1 - xsum)
-                                  for xsum, gx in enumerate(rem) if gx)
+            total += weight * gc * binomial(n - m0 - 1 - xc - size, m1 - xc)
+        room = m1 - xc
         for f, x, w, support, j in live[:bisect_right(firsts, first)]:
+            if x > room:
+                continue
             for v, kb in support:
                 k = c[v] + kb
                 if k > counts[v]:
                     break
                 w *= choose[k - 1][kb - 1] if v == f else choose[k][kb]
             else:
-                row = g.setdefault(i + j, [0] * (m1 + 1))
-                for xsum in range(m1 + 1 - x):
-                    if rem[xsum]:
-                        row[xsum + x] += w * rem[xsum]
+                g[i + j] = g.get(i + j, 0) + w * gc
     return total
 
 
@@ -310,6 +304,16 @@ def group_table(n: int):
     return tuple((perm, sign, gather(perm)) for perm, sign in actions)
 
 
+@lru_cache(maxsize=None)
+def _pair_elements(n: int):
+    """For each position u, one (u + d, place) per unit d: place is where
+    group_table(n) holds the element whose image reads m at u and u + d in
+    its entries 0 and 1, mult = 1/d and shift = -u*mult."""
+    mults = coprime_residues(n)
+    return tuple(tuple(((u + pow(mult, -1, n)) % n, -u * mult % n * len(mults) + j)
+                       for j, mult in enumerate(mults)) for u in range(n))
+
+
 def reduce_representative(a):
     """Cheapest-to-evaluate image of [a] under shifts and coprime multipliers.
 
@@ -321,16 +325,19 @@ def reduce_representative(a):
         return a, 1
     m = multiplicities(a)
     table = group_table(n)
+    pairs = _pair_elements(n)
     # fewest indices >= 2, then fewest 1s, then the smallest sorted index
-    # tuple, which is the largest multiplicity vector; the first image wins ties.
-    # The first two fields read only an image's entries 0 and 1, so they are
-    # ranked as one integer (M0+M1 first, then fewer 1s, as M1 <= N), and
-    # whole images are built only for the elements that reach the top
-    heads = [(m[perm[0]] + m[perm[1]]) * (n + 1) - m[perm[1]] for perm, _, _ in table]
-    top = max(heads)
-    images = ((image(m), sign)
-              for (_, sign, image), head in zip(table, heads) if head == top)
-    image, sign = max(images, key=lambda t: t[0])
+    # tuple, which is the largest multiplicity vector; the first image in
+    # table order wins ties.
+    # The first two fields read only an image's entries 0 and 1, at
+    # (u, u + d) with d = 1/mult, so they are ranked as one integer per
+    # element (M0+M1 first, then fewer 1s, as M1 <= N). A pair with
+    # m[u] = 0 ranks below any pair starting at u + d, so u runs over the
+    # support only, and whole images are built only for the top elements
+    heads = [((m[u] + m[w]) * (n + 1) - m[w], i) for u in range(n) if m[u] for w, i in pairs[u]]
+    top = max(heads)[0]
+    picks = sorted(i for head, i in heads if head == top)
+    image, sign = max(((table[i][2](m), table[i][1]) for i in picks), key=itemgetter(0))
     return indices_from_multiplicities(image), sign
 
 

@@ -193,14 +193,19 @@ def test_reduce_representative_matches_search():
         for m in valid_vectors(n):
             a = ce.indices_from_multiplicities(m)
             assert ce.reduce_representative(a) == _reduce_representative_by_search(a), a
+    # every index set at N <= 7, off-gate ones too: their images can tie
+    # under elements of opposite sign, so the sign shows which element won
+    for n in range(2, 8):
+        for a in itertools.combinations_with_replacement(range(n), n):
+            assert ce.reduce_representative(a) == _reduce_representative_by_search(a), a
 
 
 # Reference: coeff_engine._partition_sum as a dense DP over contents (equal
 # labels merged into a count per distinct value, with binomial label
 # choices), which pulls each content's row from every sub-content and drops
 # the parts with x > M1 one pair at a time. The engine's two kernels push
-# rows forward over the reachable states only; the labeled one shares
-# neither state layout nor weights with this reference.
+# one integer per state forward over the reachable states only; the labeled
+# one shares neither state layout nor weights with this reference.
 def _partition_sum_dense(rest, n, m0, m1):
     """Sum over labeled set partitions P of `rest` of prod_parts (z-1)! * Lambda(P).
 
@@ -220,6 +225,8 @@ def _partition_sum_dense(rest, n, m0, m1):
     labeled T have content c. G is built over the contents smallest first,
     splitting off the part that holds one copy of the first value present in
     c; X > M1 is dropped as it can only grow. Everything stays in integers.
+    Each row is checked to be zero off X = -trace(c) mod N, the one value
+    the engine's kernels keep per state.
     """
     values = sorted(set(rest))
     counts = [rest.count(v) for v in values]
@@ -252,6 +259,10 @@ def _partition_sum_dense(rest, n, m0, m1):
             for xsum in range(m1 + 1 - x):
                 if rem[xsum]:
                     row[xsum + x] += w * rem[xsum]
+        # every partition of a content with trace t has sum_q x_q = -t mod N,
+        # and X <= M1 < N, so the row is zero off that one X
+        xc = -sum(k * v for k, v in zip(c, values)) % n
+        assert not any(gx for xsum, gx in enumerate(row) if xsum != xc), (rest, n, m0, m1, c)
         g.append(row)
         size = sum(c)
         weight = factorial(p - size)
