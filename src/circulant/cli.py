@@ -95,6 +95,8 @@ def _poly_csv(n, terms, include_zeros):
 
 
 def cmd_coeff(args):
+    if args.N < 1:
+        raise UsageError("N out of range")
     if args.check and args.N > CHECK_MAX_N:
         raise UsageError("--check needs N <= %d" % CHECK_MAX_N)
     a = _parse_indices(args.N, args.indices, args.mult)

@@ -45,19 +45,13 @@ def coeff_all_equal(value: int, n: int) -> int:
     return -1 if (value * (n - 1)) % 2 else 1
 
 
-def _shape(a):
-    """Split an index set from as_index_set into (M, M0, M1, A-list of indices >= 2)."""
-    m = multiplicities(a)
-    return m, m[0], m[1] if len(a) > 1 else 0, [x for x in a if x >= 2]
-
-
-# The most states each partition-sum DP may take, for about the same worst
-# time with Python 3.11 on one core. Over labeled subsets 2^18: every index
-# distinct at N = 21, 11-15 s and 23 MB cold, and each further label
-# triples the time. Over sub-multisets a state costs more, as each pushes to
-# more parts: 2^15, where the worst shapes measured at M0 = M1 = 3 (seven
-# values three times and one once, or five twice and seven once) took
-# 4-5 s and 24-25 MB, and 4^8 (eight values three times, M0 = 6) took 12 s.
+# The most states each partition-sum DP may take, timed cold with Python
+# 3.11 on one core. Over labeled subsets 2^18: every index distinct at
+# N = 21, 1.4-1.6 s and 22 MB, and each further label about triples the
+# time. Over sub-multisets a state costs more, as each pushes to more
+# parts: 2^15, where the worst shapes measured at M0 = M1 = 3 (seven values
+# three times and one once, or five twice and seven once) took 3-5 s and
+# 23-25 MB, and 4^8 (eight values three times, M0 = 6) took 12 s.
 MAX_PARTITION_STATES = 1 << 18
 MAX_CONTENT_STATES = 1 << 15
 
@@ -85,8 +79,9 @@ def _partition_sum(rest, n, m0, m1):
     set partitions Q of T with sum_q x_q = X. Only parts with x <= M1 can
     contribute, as X only grows. Every x_q is -trace(q) mod N, so
     sum_q x_q = -trace(T) mod N, and X <= M1 < N leaves one X per T:
-    X_T = -trace(T) mod N. So G_T is one integer, G_T[X_T], and T adds
-    nothing when X_T > M1.
+    X_T = -trace(T) mod N. So G_T is one integer, G_T[X_T], T adds nothing
+    when X_T > M1, and the closing factor depends on T only through
+    (|T|, X_T).
 
     Two DPs build G, and the tail's shape picks one. Over labeled subsets
     there are 2^p states; over contents, a count per distinct value, there
@@ -109,52 +104,57 @@ def _partition_sum(rest, n, m0, m1):
     return _partition_sum_by_content(rest, n, m0, m1)
 
 
+@lru_cache(maxsize=None)
+def _part_weight(n, z, x):
+    """(-N)(z-1)! C(x+z-1, z-1), the weight of one part of size z with that x."""
+    return -n * factorial(z - 1) * binomial(x + z - 1, z - 1)
+
+
 def _partition_sum_by_label(rest, n, m0, m1):
     """_partition_sum with G indexed by the subsets T of the labels.
 
-    Each label is one bit, each subset of the labels one bitmask. The live
-    parts are found once, from every subset's trace. G is built by pushing
-    forward from each nonzero subset s, smallest first: a live part b
-    extends s when it is disjoint from s, its lowest bit is below s's and
-    X_s + x_b <= M1, so b is the part that holds the lowest label of s | b,
-    and each partition is reached once. Subsets no partition into live
-    parts reaches are never visited. Everything stays in integers.
+    Each label is one bit, each subset of the labels one bitmask. Only a
+    subset with X_T <= M1 can be a live part or be reached by a partition
+    into live parts, so one ascending list of those subsets serves as both.
+    G_T is pulled from the submasks r of T without T's lowest bit, as the
+    sum of w(T^r) * G_r: the part T^r holds that lowest label, so each
+    partition is counted once, and a part never overlaps the rest of its
+    partition. A pulled part needs x <= X_T, tested as X_r <= X_T: when
+    2*M1 >= N, a part with x > X_T can leave X_r = X_T - x + N <= M1, and
+    the partition's x would then sum to X_T + N. G_T is summed into one
+    bucket per (|T|, X_T), and each bucket is multiplied by its closing
+    factor once. Everything stays in integers.
     """
     p = len(rest)
-    # the trace of every subset, bit i standing for rest[i]
-    trace = [0]
+    # X of every subset, bit i standing for rest[i]
+    xs = [0]
     for v in rest:
-        trace += [t + v for t in trace]
-    # (x, weight, part) of each live part, by lowest bit; the parts whose
-    # lowest bit is below bit k are live[:below[k]]
-    live = []
-    below = []
-    for k in range(p):
-        below.append(len(live))
-        for b in range(1 << k, 1 << p, 1 << (k + 1)):
-            x = -trace[b] % n
-            if x <= m1:
-                z = b.bit_count()
-                live.append((x, -n * factorial(z - 1) * binomial(x + z - 1, z - 1), b))
-    below.append(len(live))
-    # G_T of each subset reached so far; s | b > s, so the walk in
-    # increasing order meets every G_T after its last push, and frees it
+        xs += [(x - v) % n for x in xs]
+    # the part weight w and G of each subset with X <= M1, zero elsewhere;
+    # a submask comes before its set, so the ascending walk meets every G_r
+    # it pulls already summed
+    w = [0] * (1 << p)
     g = [0] * (1 << p)
     g[0] = 1
+    buckets = [0] * ((p + 1) * (m1 + 1))
+    for t in [t for t, x in enumerate(xs) if x <= m1][1:]:
+        xt = xs[t]
+        z = t.bit_count()
+        w[t] = gt = _part_weight(n, z, xt)  # r = 0: T as one part
+        rest_bits = t & (t - 1)
+        r = rest_bits
+        while r:
+            gr = g[r]
+            if gr and xs[r] <= xt:
+                gt += w[t ^ r] * gr
+            r = (r - 1) & rest_bits
+        g[t] = gt
+        buckets[z * (m1 + 1) + xt] += gt
     total = 0
-    for s, gs in enumerate(g):
-        if not gs:
-            continue
-        g[s] = 0
-        xs = -trace[s] % n
-        if s:
-            z = s.bit_count()
-            total += gs * factorial(p - z) * binomial(n - m0 - 1 - xs - z, m1 - xs)
-        room = m1 - xs
-        low = (s & -s).bit_length() - 1 if s else p
-        for x, w, b in live[:below[low]]:
-            if not b & s and x <= room:
-                g[s | b] += w * gs
+    for i, gsum in enumerate(buckets):
+        if gsum:
+            z, x = divmod(i, m1 + 1)
+            total += gsum * factorial(p - z) * binomial(n - m0 - 1 - x - z, m1 - x)
     return total
 
 
@@ -189,8 +189,7 @@ def _partition_sum_by_content(rest, n, m0, m1):
         if x <= m1:
             z = sum(b)
             support = [(v, k) for v, k in enumerate(b) if k]
-            live.append((support[0][0], x, -n * factorial(z - 1) * binomial(x + z - 1, z - 1),
-                         support, j))
+            live.append((support[0][0], x, _part_weight(n, z, x), support, j))
     live.sort(key=lambda part: part[0])
     firsts = [part[0] for part in live]
     g = {0: 1}
@@ -225,20 +224,25 @@ def coeff_theorem3(a) -> int:
     """C_[a] via the labeled partition sum, evaluated by a DP over labeled
     subsets or over sub-multisets, whichever the tail's shape favours."""
     a = as_index_set(a)
+    return _theorem3(a, multiplicities(a))
+
+
+def _theorem3(a, m):
+    """coeff_theorem3 of an index set already sorted and validated, with its
+    multiplicity vector m."""
     n = len(a)
     if sum(a) % n != 0:
         return 0
     if a[0] == a[-1]:
         return coeff_all_equal(a[0], n)
-    m, m0, m1, big = _shape(a)
+    m0, m1 = m[0], m[1]
+    big = a[m0 + m1:]
     # condition 8 with two distinct values present forces at least one index >= 2
     assert big, "non-constant index set satisfying the residue gate has an index >= 2"
     # one index >= 2 is pinned; N - M0 - 1 >= M1 because it exists
     brace = factorial(n - m0 - 1) // factorial(m1) + _partition_sum(big[:-1], n, m0, m1)
     value = ((-1) ** (n - m0 - 1)) * n * brace
-    denom = 1
-    for q in range(2, n):
-        denom *= factorial(m[q])
+    denom = math.prod(map(factorial, m[2:]))
     assert value % denom == 0
     return value // denom
 
@@ -350,13 +354,14 @@ def coefficient_with_path(a):
     reduce_representative image (rep, sign) of [a], and the path that names
     it: residue gate, all-equal, or the partition sum. The group keeps the
     gate (b*sum + N*k = b*sum mod N, b a unit) and constant index sets, so
-    rep takes the branch of coeff_theorem3 that [a] would."""
-    a = as_index_set(a)
+    rep takes the branch of coeff_theorem3 that [a] would, and the path is
+    read from rep. reduce_representative validates [a] and returns rep
+    sorted, so rep is evaluated without a second check."""
     rep, sign = reduce_representative(a)
-    if sum(a) % len(a):
+    if sum(rep) % len(rep):
         path = "residue-gate"
-    elif a[0] == a[-1]:
+    elif rep[0] == rep[-1]:
         path = "all-equal"
     else:
         path = "partition-sum"
-    return sign * coeff_theorem3(rep), path, rep, sign
+    return sign * _theorem3(rep, multiplicities(rep)), path, rep, sign

@@ -46,11 +46,12 @@ def orbit_values(n: int):
 
     The only place an expansion's orbits are evaluated, each at its
     canonical vector by the closed form: a canonical vector already stands
-    for its orbit, so nothing reduces it first.
+    for its orbit, so nothing reduces it first, and it is the multiplicity
+    vector of a valid index set, so nothing validates it again.
     """
     if n < 1 or n > MAX_N:
         raise ValueError("dimension must be in [1, %d]" % MAX_N)
-    return tuple((m, coeff_engine.coeff_theorem3(coeff_engine.indices_from_multiplicities(m)))
+    return tuple((m, coeff_engine._theorem3(coeff_engine.indices_from_multiplicities(m), m))
                  for m in symmetry.canonical_vectors(n))
 
 

@@ -9,7 +9,7 @@ import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .coeff_engine import (_shape, as_index_set, coeff_all_equal, coprime_residues,
+from .coeff_engine import (as_index_set, coeff_all_equal, coprime_residues,
                            indices_from_multiplicities, multiplicities)
 from .exactmath import binomial, divisors, factorial, mobius
 from .expansion import expand
@@ -23,6 +23,12 @@ GroupElement = namedtuple("GroupElement", ["shift", "mult"])
 # member with its sign; the reference for expansion.multiplet_rows
 MultipletRecord = namedtuple(
     "MultipletRecord", ["kind", "representative", "n", "members", "conflict"])
+
+
+def _shape(a):
+    """Split an index set from as_index_set into (M, M0, M1, A-list of indices >= 2)."""
+    m = multiplicities(a)
+    return m, m[0], m[1] if len(a) > 1 else 0, [x for x in a if x >= 2]
 
 
 def satisfies_condition_8(a) -> bool:

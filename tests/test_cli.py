@@ -114,6 +114,8 @@ def test_command_line_exit_codes(capsys):
         (["coeff", "5", "0,0,1,2,2", "--form", "json"], 2),  # no abbreviations
         (["bogus"], 2),
         (["coeff", "-5", "0"], 2),  # a negative N reaches the range checks
+        (["coeff", "-1", "0"], 2),  # N < 1 is refused before the indices are read
+        (["coeff", "0", ""], 2),
         (["coeff", "5", "0,0,1,2,2", "--mult=1"], 2),
         (["coeff", "5", "0,0,1,2,2", "--format"], 2),
         (["coeff", "5", "0,0,1,2,2", "3"], 2),
@@ -135,6 +137,9 @@ def test_command_line_exit_codes(capsys):
     assert json.loads(json_doc)["value"] == "5"
     assert outputs[("coeff", "--format", "json", "5", "0,0,1,2,2")] == json_doc
     assert cli.parse_args(["coeff", "-5", "0"]).N == -5
+    # as for expand, multiplets and zeros, N < 1 is named, whatever the indices
+    for argv in (["coeff", "-1", "0"], ["coeff", "0", ""]):
+        assert _call(capsys, argv) == (2, "", "error: N out of range\n"), argv
 
 
 def test_help_for_every_command(capsys):
@@ -307,13 +312,13 @@ def test_one_evaluation_per_super_orbit(capsys, monkeypatch):
     # N = 8 has 49 super orbits; neither command evaluates more than that.
     # The structural zeros of N = 10 fill 3 super orbits.
     calls = [0]
-    original = coeff_engine.coeff_theorem3
+    original = coeff_engine._theorem3
 
-    def counting(a):
+    def counting(a, m):
         calls[0] += 1
-        return original(a)
+        return original(a, m)
 
-    monkeypatch.setattr(coeff_engine, "coeff_theorem3", counting)
+    monkeypatch.setattr(coeff_engine, "_theorem3", counting)
     for command in ("multiplets", "expand"):
         expansion.orbit_values.cache_clear()
         calls[0] = 0
@@ -416,12 +421,12 @@ def test_verify_determinant_suite(capsys):
 
 def test_verify_determinant_catches_one_wrong_coefficient(capsys, monkeypatch):
     # off by one at a single super-orbit representative of N = 6
-    original = coeff_engine.coeff_theorem3
+    original = coeff_engine._theorem3
 
-    def off_by_one(a):
-        return original(a) + (tuple(a) == (0, 0, 0, 1, 2, 3))
+    def off_by_one(a, m):
+        return original(a, m) + (tuple(a) == (0, 0, 0, 1, 2, 3))
 
-    monkeypatch.setattr(coeff_engine, "coeff_theorem3", off_by_one)
+    monkeypatch.setattr(coeff_engine, "_theorem3", off_by_one)
     expansion.orbit_values.cache_clear()
     try:
         code, out = run(capsys, "verify", "6", "--suite", "determinant")

@@ -203,9 +203,10 @@ def test_reduce_representative_matches_search():
 # Reference: coeff_engine._partition_sum as a dense DP over contents (equal
 # labels merged into a count per distinct value, with binomial label
 # choices), which pulls each content's row from every sub-content and drops
-# the parts with x > M1 one pair at a time. The engine's two kernels push
-# one integer per state forward over the reachable states only; the labeled
-# one shares neither state layout nor weights with this reference.
+# the parts with x > M1 one pair at a time. The engine's kernels hold one
+# integer per state: the labeled one pulls over the submasks of the subsets
+# with X <= M1, the content one pushes forward over the reachable contents.
+# Neither shares the row of M1 + 1 sums this reference keeps per state.
 def _partition_sum_dense(rest, n, m0, m1):
     """Sum over labeled set partitions P of `rest` of prod_parts (z-1)! * Lambda(P).
 
@@ -288,6 +289,9 @@ def test_partition_sum_edge_cases():
         ((3, 7), 10, 5, 0, -10),
         ((2, 2, 4, 4), 6, 0, 0, None),  # M1 = 0 with repeats: {2, 4} and {2, 2, 4, 4}
         ((5, 5, 5), 15, 2, 0, None),
+        # 2*M1 >= N: each T adds -6, as one part each; the split of {3, 3}
+        # into two parts, each with x = 3 <= M1, sums to 6 > M1 and adds nothing
+        ((3, 3), 6, 0, 3, -18),
     ]
     for rest, n, m0, m1, want in cases:
         got = ce._partition_sum(rest, n, m0, m1)
@@ -316,6 +320,12 @@ def test_partition_sum_matches_dense_dp_large_p():
             want = _partition_sum_dense(*args)
             for kernel in KERNELS:
                 assert kernel(*args) == want, (kernel.__name__, args)
+    # nine distinct labels at M0 = 0, M1 = 10, N = 20: 2*M1 >= N, so two
+    # parts that each fit under M1 can wrap past N together
+    args = tuple(sorted(rng.sample(range(2, 20), 9))), 20, 0, 10
+    want = _partition_sum_dense(*args)
+    for kernel in KERNELS:
+        assert kernel(*args) == want, (kernel.__name__, args)
 
 
 def test_partition_sum_kernel_follows_tail_shape(monkeypatch):
@@ -371,6 +381,24 @@ def test_content_kernel_has_its_own_state_limit(monkeypatch):
     # seven values three times and one once: 4^7 * 2 = 2^15, at the limit
     with pytest.raises(AssertionError, match="kernel reached"):
         ce._partition_sum(tuple(v for v in range(2, 9) for _ in range(3)) + (9,), 29, 3, 3)
+
+
+def test_one_validation_per_coefficient(monkeypatch):
+    # the reduction validates the index set; its representative, the
+    # partition sum's input, is not validated again, on any path
+    calls = [0]
+    original = ce.as_index_set
+
+    def counting(a):
+        calls[0] += 1
+        return original(a)
+
+    monkeypatch.setattr(ce, "as_index_set", counting)
+    for a, path in (([0, 0, 1, 1, 1, 1, 3, 7, 8, 8], "partition-sum"),
+                    ([0, 1, 2, 3, 3], "residue-gate"), ([2, 2, 2, 2], "all-equal")):
+        calls[0] = 0
+        assert ce.coefficient_with_path(a)[1] == path
+        assert calls[0] == 1, (a, calls[0])
 
 
 def test_reduce_representative_preserves_value():
