@@ -6,8 +6,8 @@
 # integer arithmetic.
 
 import math
-from bisect import bisect_right
 from functools import lru_cache
+from itertools import compress, product
 from operator import itemgetter
 
 from .exactmath import binomial, factorial
@@ -45,21 +45,16 @@ def coeff_all_equal(value: int, n: int) -> int:
     return -1 if (value * (n - 1)) % 2 else 1
 
 
-# The most states each partition-sum DP may take, timed cold with Python
-# 3.11 on one core. Over labeled subsets 2^18: every index distinct at
-# N = 21, 1.4-1.6 s and 22 MB, and each further label about triples the
-# time. Over sub-multisets a state costs more, as each pushes to more
-# parts: 2^15, where the worst shapes measured at M0 = M1 = 3 (seven values
-# three times and one once, or five twice and seven once) took 3-5 s and
-# 23-25 MB, and 4^8 (eight values three times, M0 = 6) took 12 s.
-MAX_PARTITION_STATES = 1 << 18
-MAX_CONTENT_STATES = 1 << 15
+# The most pairs of a DP state and a sub-state it pulls from that a partition
+# sum may walk. Timed cold with Python 3.11 on one core at M0 = 2 and
+# M1 = 1, 3, 10: 18 distinct labels (3^18 pairs) took 1.3, 2.4 and 9.1 s;
+# eleven values twice (6^11 pairs) took 1.7-1.9, 3.6-4.1 and 8.8-10 s.
+MAX_PARTITION_STEPS = 3 ** 18
 
 
 class StateLimitError(ValueError):
-    """A partition sum whose DP would take more states than its limit:
-    MAX_PARTITION_STATES over labeled subsets, MAX_CONTENT_STATES over
-    sub-multisets."""
+    """A partition sum whose DP would walk more than MAX_PARTITION_STEPS
+    pairs of a state and a sub-state."""
 
 
 def _partition_sum(rest, n, m0, m1):
@@ -83,22 +78,21 @@ def _partition_sum(rest, n, m0, m1):
     when X_T > M1, and the closing factor depends on T only through
     (|T|, X_T).
 
-    Two DPs build G, and the tail's shape picks one. Over labeled subsets
-    there are 2^p states; over contents, a count per distinct value, there
-    are prod_v (m_v+1), which is 2^p when every value is distinct and p+1
-    when one value fills the tail. A labeled state costs less, and the
-    labeled DP measured faster up to about 3 times the content DP's states
-    (p = 6..16, M1 = 0..3), so it runs when 2^p <= 3 prod_v (m_v+1).
-    Above the picked DP's limit of states it raises StateLimitError before
-    building anything.
+    One DP builds G, pulling each state with X <= M1 from its sub-states,
+    on a lattice the tail's shape picks: 2^p labeled subsets with 3^p pairs
+    of a state and a sub-state, or prod_v (m_v+1) contents, a count per
+    distinct value, with prod_v C(m_v+2, 2) pairs (p + 1 contents when one
+    value fills the tail). A labeled step costs less, and the labeled DP
+    measured faster up to about 3 times as many states, so it runs when
+    2^p <= 3 prod_v (m_v+1). Above MAX_PARTITION_STEPS pairs it raises
+    StateLimitError before building anything.
     """
-    contents = math.prod(rest.count(v) + 1 for v in set(rest))
-    by_label = 1 << len(rest) <= 3 * contents
-    states, limit = ((1 << len(rest), MAX_PARTITION_STATES) if by_label
-                     else (contents, MAX_CONTENT_STATES))
-    if states > limit:
-        raise StateLimitError("the partition sum needs %d states, above the limit of %d"
-                              % (states, limit))
+    counts = [rest.count(v) for v in set(rest)]
+    by_label = 1 << len(rest) <= 3 * math.prod(k + 1 for k in counts)
+    steps = 3 ** len(rest) if by_label else math.prod(math.comb(k + 2, 2) for k in counts)
+    if steps > MAX_PARTITION_STEPS:
+        raise StateLimitError("the partition sum needs %d steps, above the limit of %d"
+                              % (steps, MAX_PARTITION_STEPS))
     if by_label:
         return _partition_sum_by_label(rest, n, m0, m1)
     return _partition_sum_by_content(rest, n, m0, m1)
@@ -161,62 +155,57 @@ def _partition_sum_by_label(rest, n, m0, m1):
 def _partition_sum_by_content(rest, n, m0, m1):
     """_partition_sum with G indexed by contents: G_T depends on T only
     through its content c, a count per distinct value of `rest`, and
-    prod_v C(m_v, c_v) labeled T have content c.
+    F(m)/(F(c) F(m-c)) labeled T have content c, F(c) = prod_v c_v!.
 
-    The live parts are found once, from the sub-contents and their traces.
-    G is built by pushing forward from each nonzero content c, smallest
-    first: a live part b extends c when c + b fits inside the counts,
-    X_c + x_b <= M1 and b's first value is at most c's, so b is the part
-    that holds the first copy of the first value of c + b, and each
-    partition is reached once. Its labels can be chosen in
-    prod_v C(c_v+b_v-d_v, b_v-d_v) ways, d_v = [v = first(b)]. Contents no
-    partition into live parts reaches are never visited. Everything stays
-    in integers.
+    Each content is one mixed-radix number, a digit per distinct value in
+    the order itertools.product counts them, and it is pulled as in the
+    labeled DP. The part b = c - r that holds one copy of c's first value f
+    runs over the sub-contents r of c - e_f with X_r <= X_c, and the labels
+    of such a split can be chosen in F(c)/(c_f F(r)) * b_f/F(b) ways. So
+    H_c = G_c F(m)/F(c), with H_0 = F(m), has c_f H_c = sum_r H_r w'(b),
+    an exact division, where w'(b) = w(b) b_f/F(b) is (-N) C(x+z-1, z-1)
+    times a multinomial. H_c F(m)/F(m-c) is summed into one bucket per
+    (|c|, X_c), and each bucket is multiplied by (p-|c|)!/F(m) and its
+    closing factor once. Everything stays in integers.
     """
     values = sorted(set(rest))
     counts = [rest.count(v) for v in values]
     p = len(rest)
-    choose = [[binomial(k, j) for j in range(k + 1)] for k in range(max(counts, default=0) + 1)]
-    # every sub-content with its trace, in lexicographic order: the position
-    # of a content is linear in it, so c + b sits at pos(c) + pos(b)
-    subs = [((), 0)]
+    fm = math.prod(map(factorial, counts))
+    # X of every content, and the place value of each digit
+    xs, steps = [0], []
     for v, k in zip(values, counts):
-        subs = [(b + (j,), t + j * v) for b, t in subs for j in range(k + 1)]
-    # (first value, x, weight, support, position) of each live part, by first value
-    live = []
-    for j, (b, t) in enumerate(subs[1:], 1):
-        x = -t % n
-        if x <= m1:
-            z = sum(b)
-            support = [(v, k) for v, k in enumerate(b) if k]
-            live.append((support[0][0], x, _part_weight(n, z, x), support, j))
-    live.sort(key=lambda part: part[0])
-    firsts = [part[0] for part in live]
-    g = {0: 1}
+        steps = [step * (k + 1) for step in steps] + [1]
+        xs = [(x - j * v) % n for x in xs for j in range(k + 1)]
+    # w' and H of each content with X <= M1, zero elsewhere; a sub-content
+    # comes before its content
+    w = [0] * len(xs)
+    h = [0] * len(xs)
+    h[0] = fm
+    buckets = [0] * ((p + 1) * (m1 + 1))
+    live = compress(enumerate(product(*[range(k + 1) for k in counts])), map(m1.__ge__, xs))
+    next(live)  # the empty content, whose H is set
+    for i, c in live:
+        xc = xs[i]
+        # the sub-contents r of c - e_f: r_f below c_f, every other digit up to c_v
+        rs = None
+        for step, k in zip(steps, c):
+            if k:
+                if rs is None:
+                    cf = k
+                    rs = range(0, k * step, step)
+                else:
+                    rs = [r + j * step for j in range(k + 1) for r in rs]
+        z = sum(c)
+        w[i] = _part_weight(n, z, xc) * cf // math.prod(map(factorial, c))
+        hc = sum([w[i - r] * h[r] for r in rs if xs[r] <= xc]) // cf
+        h[i] = hc
+        buckets[z * (m1 + 1) + xc] += hc * math.prod(map(math.perm, counts, c))
     total = 0
-    for i, (c, t) in enumerate(subs):
-        gc = g.pop(i, 0)
-        if not gc:
-            continue
-        xc = -t % n
-        first = next((v for v, k in enumerate(c) if k), len(c))
-        if i:
-            size = sum(c)
-            weight = factorial(p - size)
-            for k, kc in zip(counts, c):
-                weight *= choose[k][kc]
-            total += weight * gc * binomial(n - m0 - 1 - xc - size, m1 - xc)
-        room = m1 - xc
-        for f, x, w, support, j in live[:bisect_right(firsts, first)]:
-            if x > room:
-                continue
-            for v, kb in support:
-                k = c[v] + kb
-                if k > counts[v]:
-                    break
-                w *= choose[k - 1][kb - 1] if v == f else choose[k][kb]
-            else:
-                g[i + j] = g.get(i + j, 0) + w * gc
+    for i, hsum in enumerate(buckets):
+        if hsum:
+            z, x = divmod(i, m1 + 1)
+            total += hsum // fm * factorial(p - z) * binomial(n - m0 - 1 - x - z, m1 - x)
     return total
 
 
@@ -274,9 +263,10 @@ def divisibility_bound(a) -> int:
     return len(a) // math.gcd(*multiplicities(a))
 
 
+@lru_cache(maxsize=None)
 def coprime_residues(n: int):
     """Multipliers of the group: the units of Z_N (just 1 when N = 1)."""
-    return [b for b in range(1, max(n, 2)) if math.gcd(b, n) == 1]
+    return tuple(b for b in range(1, max(n, 2)) if math.gcd(b, n) == 1)
 
 
 def group_action(n: int, shift: int, mult: int):
@@ -300,19 +290,26 @@ def gather(perm):
 
 
 @lru_cache(maxsize=None)
-def group_table(n: int):
-    """(perm, sign, gather(perm)) of group_action for every shift and every
-    coprime multiplier; the identity comes first."""
+def _element(n: int, i: int):
+    """(perm, sign, gather(perm)) of group element i: shift i // phi(N) and
+    the (i mod phi(N))-th coprime multiplier, so element 0 is the identity."""
     mults = coprime_residues(n)
-    actions = (group_action(n, shift, mult) for shift in range(n) for mult in mults)
-    return tuple((perm, sign, gather(perm)) for perm, sign in actions)
+    shift, j = divmod(i, len(mults))
+    perm, sign = group_action(n, shift, mults[j])
+    return perm, sign, gather(perm)
+
+
+@lru_cache(maxsize=None)
+def group_table(n: int):
+    """_element(n, i) for every element i, the identity first."""
+    return tuple(_element(n, i) for i in range(n * len(coprime_residues(n))))
 
 
 @lru_cache(maxsize=None)
 def _pair_elements(n: int):
-    """For each position u, one (u + d, place) per unit d: place is where
-    group_table(n) holds the element whose image reads m at u and u + d in
-    its entries 0 and 1, mult = 1/d and shift = -u*mult."""
+    """For each position u, one (u + d, i) per unit d: i is the _element
+    whose image reads m at u and u + d in its entries 0 and 1, mult = 1/d
+    and shift = -u*mult."""
     mults = coprime_residues(n)
     return tuple(tuple(((u + pow(mult, -1, n)) % n, -u * mult % n * len(mults) + j)
                        for j, mult in enumerate(mults)) for u in range(n))
@@ -328,11 +325,10 @@ def reduce_representative(a):
     if n == 1:
         return a, 1
     m = multiplicities(a)
-    table = group_table(n)
     pairs = _pair_elements(n)
     # fewest indices >= 2, then fewest 1s, then the smallest sorted index
     # tuple, which is the largest multiplicity vector; the first image in
-    # table order wins ties.
+    # element order wins ties.
     # The first two fields read only an image's entries 0 and 1, at
     # (u, u + d) with d = 1/mult, so they are ranked as one integer per
     # element (M0+M1 first, then fewer 1s, as M1 <= N). A pair with
@@ -341,7 +337,9 @@ def reduce_representative(a):
     heads = [((m[u] + m[w]) * (n + 1) - m[w], i) for u in range(n) if m[u] for w, i in pairs[u]]
     top = max(heads)[0]
     picks = sorted(i for head, i in heads if head == top)
-    image, sign = max(((table[i][2](m), table[i][1]) for i in picks), key=itemgetter(0))
+    # only the picked elements are built, not the N * phi(N) of group_table
+    image, sign = max(((image_of(m), sign) for _, sign, image_of in (_element(n, i) for i in picks)),
+                      key=itemgetter(0))
     return indices_from_multiplicities(image), sign
 
 

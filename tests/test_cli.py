@@ -57,13 +57,14 @@ def test_coeff_check_refused_above_window(capsys):
 
 
 def test_coeff_refused_above_state_limit(capsys):
-    # every index distinct at N = 23 leaves 20 labels, 2^20 labeled subsets
+    # every index distinct at N = 23 leaves 20 labels, 3^20 pairs of a
+    # labeled subset and a submask
     t0 = time.time()
     code, out, err = _call(capsys, ["coeff", "23", ",".join(map(str, range(23)))])
     assert time.time() - t0 < 1.0
     assert (code, out) == (2, "")
-    assert err == "error: the partition sum needs %d states, above the limit of %d\n" % (
-        1 << 20, coeff_engine.MAX_PARTITION_STATES)
+    assert err == "error: the partition sum needs %d steps, above the limit of %d\n" % (
+        3 ** 20, coeff_engine.MAX_PARTITION_STEPS)
 
 
 def test_coeff_check_mismatch(capsys, monkeypatch):

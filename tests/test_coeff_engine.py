@@ -204,9 +204,10 @@ def test_reduce_representative_matches_search():
 # labels merged into a count per distinct value, with binomial label
 # choices), which pulls each content's row from every sub-content and drops
 # the parts with x > M1 one pair at a time. The engine's kernels hold one
-# integer per state: the labeled one pulls over the submasks of the subsets
-# with X <= M1, the content one pushes forward over the reachable contents.
-# Neither shares the row of M1 + 1 sums this reference keeps per state.
+# integer per state, and each pulls the states with X <= M1 from their
+# sub-states with X <= X_T: the labeled one over submasks, the content one
+# over sub-contents. Neither keeps the row of M1 + 1 sums this reference
+# keeps per state.
 def _partition_sum_dense(rest, n, m0, m1):
     """Sum over labeled set partitions P of `rest` of prod_parts (z-1)! * Lambda(P).
 
@@ -320,12 +321,14 @@ def test_partition_sum_matches_dense_dp_large_p():
             want = _partition_sum_dense(*args)
             for kernel in KERNELS:
                 assert kernel(*args) == want, (kernel.__name__, args)
-    # nine distinct labels at M0 = 0, M1 = 10, N = 20: 2*M1 >= N, so two
-    # parts that each fit under M1 can wrap past N together
-    args = tuple(sorted(rng.sample(range(2, 20), 9))), 20, 0, 10
-    want = _partition_sum_dense(*args)
-    for kernel in KERNELS:
-        assert kernel(*args) == want, (kernel.__name__, args)
+    # nine labels at M0 = 0, M1 = 10, N = 20, once distinct and once three
+    # values three times (a shape the content kernel takes): 2*M1 >= N, so
+    # two parts that each fit under M1 can wrap past N together
+    for rest in (sorted(rng.sample(range(2, 20), 9)), (3, 3, 3, 7, 7, 7, 17, 17, 17)):
+        args = tuple(rest), 20, 0, 10
+        want = _partition_sum_dense(*args)
+        for kernel in KERNELS:
+            assert kernel(*args) == want, (kernel.__name__, args)
 
 
 def test_partition_sum_kernel_follows_tail_shape(monkeypatch):
@@ -347,40 +350,30 @@ def test_partition_sum_kernel_follows_tail_shape(monkeypatch):
 
 
 def test_partition_sum_refuses_above_state_limit(monkeypatch):
-    # the refusal comes before either kernel runs, for the shape each takes;
-    # a kernel reached here raises AssertionError
+    # one limit in steps, pairs of a state and a sub-state on the lattice
+    # the shape picks; the refusal comes before either kernel runs, and a
+    # kernel reached here raises AssertionError
     def refuse(*args):
         raise AssertionError("kernel reached")
 
     monkeypatch.setattr(ce, "_partition_sum_by_label", refuse)
     monkeypatch.setattr(ce, "_partition_sum_by_content", refuse)
-    # 19 distinct labels: 2^19 labeled subsets; 18 are at the limit and run
-    with pytest.raises(ce.StateLimitError, match="needs 524288 states"):
+    assert ce.MAX_PARTITION_STEPS == 3 ** 18
+    # 19 distinct labels: 3^19 steps over labeled subsets; 18 are at the limit and run
+    with pytest.raises(ce.StateLimitError,
+                       match="needs %d steps, above the limit of %d$" % (3 ** 19, 3 ** 18)):
         ce._partition_sum(tuple(range(2, 21)), 23, 1, 1)
     with pytest.raises(AssertionError, match="kernel reached"):
         ce._partition_sum(tuple(range(2, 20)), 23, 1, 1)
-    # twelve values twice each: 3^12 sub-multisets, far fewer than 2^24 subsets
-    with pytest.raises(ce.StateLimitError, match="needs 531441 states"):
+    # twelve values twice each: C(4, 2)^12 = 6^12 steps over sub-multisets,
+    # far fewer than over 2^24 labeled subsets
+    with pytest.raises(ce.StateLimitError, match="needs %d steps" % 6 ** 12):
         ce._partition_sum(tuple(v for v in range(2, 14) for _ in range(2)), 29, 2, 1)
-
-
-def test_content_kernel_has_its_own_state_limit(monkeypatch):
-    # a state over sub-multisets costs more than a labeled one, so that
-    # programme's limit is lower; the refusal names it and comes before
-    # either kernel runs
-    def refuse(*args):
-        raise AssertionError("kernel reached")
-
-    monkeypatch.setattr(ce, "_partition_sum_by_label", refuse)
-    monkeypatch.setattr(ce, "_partition_sum_by_content", refuse)
-    assert ce.MAX_CONTENT_STATES < 3 ** 10 < ce.MAX_PARTITION_STATES
-    # ten values twice each: 3^10 sub-multisets, and 2^20 labeled subsets
-    with pytest.raises(ce.StateLimitError,
-                       match="needs 59049 states, above the limit of %d$" % ce.MAX_CONTENT_STATES):
-        ce._partition_sum(tuple(v for v in range(2, 12) for _ in range(2)), 29, 3, 3)
-    # seven values three times and one once: 4^7 * 2 = 2^15, at the limit
-    with pytest.raises(AssertionError, match="kernel reached"):
-        ce._partition_sum(tuple(v for v in range(2, 9) for _ in range(3)) + (9,), 29, 3, 3)
+    # ten and eleven values twice each, 6^10 and 6^11 steps, are within the
+    # limit and run
+    for top in (12, 13):
+        with pytest.raises(AssertionError, match="kernel reached"):
+            ce._partition_sum(tuple(v for v in range(2, top) for _ in range(2)), 29, 3, 3)
 
 
 def test_one_validation_per_coefficient(monkeypatch):
@@ -409,6 +402,18 @@ def test_reduce_representative_preserves_value():
             a = ce.indices_from_multiplicities(m)
             rep, sign = ce.reduce_representative(a)
             assert sign * ce.coefficient(rep) == ce.coeff_theorem3(a), a
+
+
+def test_reduce_representative_builds_only_its_picks(monkeypatch):
+    # at N = 60 the whole group table would hold 60 * 16 images of 60
+    # entries; the reduction builds only the elements it compares
+    def refuse(n):
+        raise AssertionError("group_table built")
+
+    monkeypatch.setattr(ce, "group_table", refuse)
+    for a in [(0,) * 55 + (1, 7, 13, 17, 22), (0,) * 57 + (1, 2, 57)]:
+        assert ce.reduce_representative(a) == _reduce_representative_by_search(a), a
+        assert ce.coefficient(a) == ce.coeff_theorem3(a), a
 
 
 def test_reduce_representative_not_more_expensive():
