@@ -365,9 +365,21 @@ def test_partition_sum_refuses_above_state_limit(monkeypatch):
         ce._partition_sum(tuple(range(2, 21)), 23, 1, 1)
     with pytest.raises(AssertionError, match="kernel reached"):
         ce._partition_sum(tuple(range(2, 20)), 23, 1, 1)
+
+
+def test_content_kernel_has_its_own_state_limit(monkeypatch):
+    # a tail with repeated values is counted on its own lattice, pairs of
+    # a sub-multiset and a sub-state, not over its labeled subsets; the
+    # refusal comes before either kernel runs
+    def refuse(*args):
+        raise AssertionError("kernel reached")
+
+    monkeypatch.setattr(ce, "_partition_sum_by_label", refuse)
+    monkeypatch.setattr(ce, "_partition_sum_by_content", refuse)
     # twelve values twice each: C(4, 2)^12 = 6^12 steps over sub-multisets,
     # far fewer than over 2^24 labeled subsets
-    with pytest.raises(ce.StateLimitError, match="needs %d steps" % 6 ** 12):
+    with pytest.raises(ce.StateLimitError, match="needs %d steps, above the limit of %d$"
+                       % (6 ** 12, ce.MAX_PARTITION_STEPS)):
         ce._partition_sum(tuple(v for v in range(2, 14) for _ in range(2)), 29, 2, 1)
     # ten and eleven values twice each, 6^10 and 6^11 steps, are within the
     # limit and run
