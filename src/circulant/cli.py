@@ -95,8 +95,6 @@ def _poly_csv(n, terms, include_zeros):
 
 
 def cmd_coeff(args):
-    if args.N < 1:
-        raise UsageError("N out of range")
     if args.check and args.N > CHECK_MAX_N:
         raise UsageError("--check needs N <= %d" % CHECK_MAX_N)
     a = _parse_indices(args.N, args.indices, args.mult)
@@ -124,16 +122,12 @@ def cmd_coeff(args):
 
 
 def cmd_expand(args):
-    if args.N < 1 or args.N > expansion.MAX_N:
-        raise UsageError("N out of range")
     render = {"json": poly_to_json, "csv": _poly_csv, "text": _poly_text}[args.format]
     print(render(args.N, expansion.expand(args.N), args.include_zeros))
     return EXIT_OK
 
 
 def cmd_multiplets(args):
-    if args.N < 2 or args.N > expansion.MAX_N:
-        raise UsageError("N out of range")
     rows = [{"kind": kind, "representative": _key(rep), "n": size,
              "value": str(value)}
             for kind, rep, size, value in expansion.multiplet_rows(args.N)]
@@ -189,8 +183,6 @@ def zeros_report(n):
 
 
 def cmd_zeros(args):
-    if args.N < 2 or args.N > expansion.MAX_N:
-        raise UsageError("N out of range")
     report = zeros_report(args.N)
     if args.format == "json":
         doc = {"N": args.N,
@@ -285,14 +277,36 @@ def _verify_counting(lo, hi):
     return None
 
 
-# suite -> (check over dimensions lo..hi, the dimensions it can check)
+# command -> (function, help line, positionals, N range, options): N must
+# lie in lo..hi, and `verify`, added below SUITES, has no N. An option maps
+# to (help, values): values None makes it a flag, off by default; a tuple
+# makes it take one of those values, the first by default; () takes any
+# value and defaults to None
+COMMANDS = {
+    "coeff": (cmd_coeff, "one expansion coefficient", ("N", "indices"), (1, float("inf")), {
+        "--mult": ("read the argument as a multiplicity vector", None),
+        "--check": ("compare with the arrangement-counting oracle (N <= %d)" % CHECK_MAX_N,
+                    None),
+        "--format": ("output format", ("text", "json"))}),
+    "expand": (cmd_expand, "full determinant expansion", ("N",), (1, 12), {
+        "--include-zeros": ("list the zero coefficients too", None),
+        "--format": ("output format", ("text", "json", "csv"))}),
+    "multiplets": (cmd_multiplets, "orbit table", ("N",), (2, 12), {
+        "--format": ("output format", ("text", "json", "csv"))}),
+    "zeros": (cmd_zeros, "vanishing coefficients", ("N",), (2, 12), {
+        "--format": ("output format", ("text", "json"))}),
+}
+
+
+# suite -> (check over dimensions lo..hi, the dimensions it can check); the
+# determinant suite evaluates the orbit table as far as `expand` serves it
 SUITES = {
     "oracle": (_verify_oracle, 3, 8),
     "identities": (_verify_identities, 2, 9),
     "lemmas": (_verify_lemmas, 3, 8),
     "symmetry": (_verify_symmetry, 2, 7),
     "counting": (_verify_counting, 2, 10),
-    "determinant": (_verify_determinant, 2, expansion.MAX_N),
+    "determinant": (_verify_determinant, 2, COMMANDS["expand"][3][1]),
 }
 
 
@@ -324,26 +338,8 @@ def cmd_verify(args):
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
-# command -> (function, help line, positionals, options). An option maps to
-# (help, values): values None makes it a flag, off by default; a tuple makes
-# it take one of those values, the first by default; () takes any value and
-# defaults to None
-COMMANDS = {
-    "coeff": (cmd_coeff, "one expansion coefficient", ("N", "indices"), {
-        "--mult": ("read the argument as a multiplicity vector", None),
-        "--check": ("compare with the arrangement-counting oracle (N <= %d)" % CHECK_MAX_N,
-                    None),
-        "--format": ("output format", ("text", "json"))}),
-    "expand": (cmd_expand, "full determinant expansion", ("N",), {
-        "--include-zeros": ("list the zero coefficients too", None),
-        "--format": ("output format", ("text", "json", "csv"))}),
-    "multiplets": (cmd_multiplets, "orbit table", ("N",), {
-        "--format": ("output format", ("text", "json", "csv"))}),
-    "zeros": (cmd_zeros, "vanishing coefficients", ("N",), {
-        "--format": ("output format", ("text", "json"))}),
-    "verify": (cmd_verify, "run invariant suites", ("range",), {
-        "--suite": ("run only this suite: %s" % ", ".join(sorted(SUITES)), ())}),
-}
+COMMANDS["verify"] = (cmd_verify, "run invariant suites", ("range",), None, {
+    "--suite": ("run only this suite: %s" % ", ".join(sorted(SUITES)), ())})
 
 USAGE = "usage: circulant {%s} ..." % ",".join(COMMANDS)
 HELP_FLAGS = ("-h", "--help")
@@ -374,7 +370,7 @@ def parse_args(argv):
         return SimpleNamespace(func=_print_help, command=None)
     if name not in COMMANDS:
         raise UsageError("unknown command %r (choose from %s)" % (name, ", ".join(COMMANDS)))
-    func, _, positionals, options = COMMANDS[name]
+    func, _, positionals, _, options = COMMANDS[name]
     if any(tok in HELP_FLAGS for tok in rest[:rest.index("--") if "--" in rest else None]):
         return SimpleNamespace(func=_print_help, command=name)
     args = SimpleNamespace(func=func, command=name, **{
@@ -424,7 +420,7 @@ def _print_help(args):
         usage = USAGE
         rows = [(name, spec[1]) for name, spec in COMMANDS.items()]
     else:
-        _, _, positionals, options = COMMANDS[args.command]
+        _, _, positionals, _, options = COMMANDS[args.command]
         rows = []
         for opt, (text, values) in options.items():
             if values:
@@ -445,6 +441,10 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = parse_args(argv)
+        if hasattr(args, "N"):  # checked after the whole line is parsed
+            lo, hi = COMMANDS[args.command][3]
+            if not lo <= args.N <= hi:
+                raise UsageError("N out of range")
         code = args.func(args)
         # flush inside the try, so a closed pipe is caught here and not in
         # the interpreter's flush at exit

@@ -104,6 +104,17 @@ def _part_weight(n, z, x):
     return -n * factorial(z - 1) * binomial(x + z - 1, z - 1)
 
 
+def _close(buckets, p, n, m0, m1):
+    """The partition sum from bucket z*(M1+1) + x, the sum of G_T over the T
+    with |T| = z and X_T = x, times the closing factor those T share."""
+    total = 0
+    for i, gsum in enumerate(buckets):
+        if gsum:
+            z, x = divmod(i, m1 + 1)
+            total += gsum * factorial(p - z) * binomial(n - m0 - 1 - x - z, m1 - x)
+    return total
+
+
 def _partition_sum_by_label(rest, n, m0, m1):
     """_partition_sum with G indexed by the subsets T of the labels.
 
@@ -116,8 +127,7 @@ def _partition_sum_by_label(rest, n, m0, m1):
     partition. A pulled part needs x <= X_T, tested as X_r <= X_T: when
     2*M1 >= N, a part with x > X_T can leave X_r = X_T - x + N <= M1, and
     the partition's x would then sum to X_T + N. G_T is summed into one
-    bucket per (|T|, X_T), and each bucket is multiplied by its closing
-    factor once. Everything stays in integers.
+    bucket per (|T|, X_T) for _close. Everything stays in integers.
     """
     p = len(rest)
     # X of every subset, bit i standing for rest[i]
@@ -144,12 +154,7 @@ def _partition_sum_by_label(rest, n, m0, m1):
             r = (r - 1) & rest_bits
         g[t] = gt
         buckets[z * (m1 + 1) + xt] += gt
-    total = 0
-    for i, gsum in enumerate(buckets):
-        if gsum:
-            z, x = divmod(i, m1 + 1)
-            total += gsum * factorial(p - z) * binomial(n - m0 - 1 - x - z, m1 - x)
-    return total
+    return _close(buckets, p, n, m0, m1)
 
 
 def _partition_sum_by_content(rest, n, m0, m1):
@@ -164,9 +169,10 @@ def _partition_sum_by_content(rest, n, m0, m1):
     of such a split can be chosen in F(c)/(c_f F(r)) * b_f/F(b) ways. So
     H_c = G_c F(m)/F(c), with H_0 = F(m), has c_f H_c = sum_r H_r w'(b),
     an exact division, where w'(b) = w(b) b_f/F(b) is (-N) C(x+z-1, z-1)
-    times a multinomial. H_c F(m)/F(m-c) is summed into one bucket per
-    (|c|, X_c), and each bucket is multiplied by (p-|c|)!/F(m) and its
-    closing factor once. Everything stays in integers.
+    times a multinomial. H_c F(m)/F(m-c), F(m) G_c times the number of T
+    with content c, is summed into one bucket per (|c|, X_c), so a bucket
+    divided by F(m), exactly, is the labeled DP's. Everything stays in
+    integers.
     """
     values = sorted(set(rest))
     counts = [rest.count(v) for v in values]
@@ -201,12 +207,7 @@ def _partition_sum_by_content(rest, n, m0, m1):
         hc = sum([w[i - r] * h[r] for r in rs if xs[r] <= xc]) // cf
         h[i] = hc
         buckets[z * (m1 + 1) + xc] += hc * math.prod(map(math.perm, counts, c))
-    total = 0
-    for i, hsum in enumerate(buckets):
-        if hsum:
-            z, x = divmod(i, m1 + 1)
-            total += hsum // fm * factorial(p - z) * binomial(n - m0 - 1 - x - z, m1 - x)
-    return total
+    return _close([hsum // fm for hsum in buckets], p, n, m0, m1)
 
 
 def coeff_theorem3(a) -> int:
@@ -306,13 +307,12 @@ def group_table(n: int):
 
 
 @lru_cache(maxsize=None)
-def _pair_elements(n: int):
-    """For each position u, one (u + d, i) per unit d: i is the _element
-    whose image reads m at u and u + d in its entries 0 and 1, mult = 1/d
-    and shift = -u*mult."""
+def _pairs_at(n: int, u: int):
+    """One (u + d, i) per unit d: i is the _element whose image reads m at
+    u and u + d in its entries 0 and 1, mult = 1/d and shift = -u*mult."""
     mults = coprime_residues(n)
-    return tuple(tuple(((u + pow(mult, -1, n)) % n, -u * mult % n * len(mults) + j)
-                       for j, mult in enumerate(mults)) for u in range(n))
+    return tuple(((u + pow(mult, -1, n)) % n, -u * mult % n * len(mults) + j)
+                 for j, mult in enumerate(mults))
 
 
 def reduce_representative(a):
@@ -325,7 +325,6 @@ def reduce_representative(a):
     if n == 1:
         return a, 1
     m = multiplicities(a)
-    pairs = _pair_elements(n)
     # fewest indices >= 2, then fewest 1s, then the smallest sorted index
     # tuple, which is the largest multiplicity vector; the first image in
     # element order wins ties.
@@ -333,8 +332,10 @@ def reduce_representative(a):
     # (u, u + d) with d = 1/mult, so they are ranked as one integer per
     # element (M0+M1 first, then fewer 1s, as M1 <= N). A pair with
     # m[u] = 0 ranks below any pair starting at u + d, so u runs over the
-    # support only, and whole images are built only for the top elements
-    heads = [((m[u] + m[w]) * (n + 1) - m[w], i) for u in range(n) if m[u] for w, i in pairs[u]]
+    # support only, its pairs are built only there, and whole images are
+    # built only for the top elements
+    heads = [((m[u] + m[w]) * (n + 1) - m[w], i)
+             for u in range(n) if m[u] for w, i in _pairs_at(n, u)]
     top = max(heads)[0]
     picks = sorted(i for head, i in heads if head == top)
     # only the picked elements are built, not the N * phi(N) of group_table

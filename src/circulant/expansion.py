@@ -6,8 +6,6 @@ from operator import getitem, itemgetter
 
 from . import coeff_engine, symmetry
 
-MAX_N = 12
-
 
 def expand(n: int):
     """Every (multiplicity vector, coefficient) pair of dimension n, zeros
@@ -19,7 +17,7 @@ def expand(n: int):
     alone gives the order of comparing the pairs.
     """
     return sorted(((member, sign * value)
-                   for m, value in orbit_values(n)  # ValueError for n outside [1, MAX_N]
+                   for m, value in orbit_values(n)  # ValueError for n < 1
                    for member, sign in symmetry.orbit_signs(m).items()),
                   key=itemgetter(0))
 
@@ -49,8 +47,8 @@ def orbit_values(n: int):
     for its orbit, so nothing reduces it first, and it is the multiplicity
     vector of a valid index set, so nothing validates it again.
     """
-    if n < 1 or n > MAX_N:
-        raise ValueError("dimension must be in [1, %d]" % MAX_N)
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
     return tuple((m, coeff_engine._theorem3(coeff_engine.indices_from_multiplicities(m), m))
                  for m in symmetry.canonical_vectors(n))
 

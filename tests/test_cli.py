@@ -150,7 +150,7 @@ def test_help_for_every_command(capsys):
     lines = out.splitlines()
     assert lines[0] == cli.USAGE
     assert [line.split()[0] for line in lines[1:-1]] == list(cli.COMMANDS)
-    for name, (_, _, positionals, options) in cli.COMMANDS.items():
+    for name, (_, _, positionals, _, options) in cli.COMMANDS.items():
         for flag in ("-h", "--help"):
             code, out, err = _call(capsys, [name, *positionals, flag])
             assert (code, err) == (0, ""), (name, flag)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -426,6 +427,22 @@ def test_reduce_representative_builds_only_its_picks(monkeypatch):
     for a in [(0,) * 55 + (1, 7, 13, 17, 22), (0,) * 57 + (1, 2, 57)]:
         assert ce.reduce_representative(a) == _reduce_representative_by_search(a), a
         assert ce.coefficient(a) == ce.coeff_theorem3(a), a
+
+
+def test_coefficient_at_large_n_in_linear_memory():
+    # the reduction builds the partner pairs of the support's positions
+    # only: the pairs of every position at N = 10^4 would be N phi(N),
+    # 4 * 10^7 of them and gigabytes; about 6 MB is traced here
+    n = 10 ** 4
+    a = (0,) * (n - 4) + (1, 2, 3, n - 6)
+    tracemalloc.start()
+    try:
+        value = ce.coefficient(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == ce.coeff_theorem3(a) == -60000
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_reduce_representative_not_more_expensive():

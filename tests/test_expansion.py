@@ -1,10 +1,14 @@
+import hashlib
 import random
 
 import pytest
 
-from circulant import coeff_engine, expansion, oracles, symmetry
+from circulant import cli, coeff_engine, expansion, oracles, symmetry
 from circulant.exactmath import euler_phi
 from circulant.expansion import evaluate, expand
+
+# the largest N the expand command serves, which the whole-table checks reach
+EXPAND_MAX_N = cli.COMMANDS["expand"][3][1]
 
 
 def test_expand_matches_permutation_sum():
@@ -25,9 +29,16 @@ def test_expand_keeps_zero_terms():
 def test_expand_bounds():
     with pytest.raises(ValueError):
         expand(0)
-    with pytest.raises(ValueError):
-        expand(expansion.MAX_N + 1)
     assert expand(1) == [((1,), 1)]
+
+
+def test_orbit_table_above_the_command_cap():
+    # the library has no upper bound on N; the N = 13 table against its
+    # recorded hash, the first 16 hex digits of the sha256 of the repr of
+    # its (canonical vector, value) pairs
+    table = expansion.orbit_values(13)
+    assert len(table) == 2658
+    assert hashlib.sha256(repr(list(table)).encode()).hexdigest()[:16] == "8854df0f52c98494"
 
 
 def test_no_orbit_is_fixed_by_a_negative_element():
@@ -36,7 +47,7 @@ def test_no_orbit_is_fixed_by_a_negative_element():
     # if a member reached with both signs has value 0: a canonical vector
     # fixed by an element of sign -1 has coeff = -coeff. At N <= 12 none is
     # fixed, so the value is computed only for one that is.
-    for n in range(1, expansion.MAX_N + 1):
+    for n in range(1, EXPAND_MAX_N + 1):
         negative = [image for _, sign, image in coeff_engine.group_table(n) if sign < 0]
         for m in symmetry.canonical_vectors(n):
             if any(image(m) == m for image in negative):
@@ -99,7 +110,7 @@ def test_expansion_matches_exact_determinant():
     # nonzero polynomial of degree N, which vanishes at a random point with
     # entries near 2^61 with probability at most about N / 2^62
     rng = random.Random(61)
-    for n in range(2, expansion.MAX_N + 1):
+    for n in range(2, EXPAND_MAX_N + 1):
         for _ in range(2):
             x = [(1 << 61) + rng.randrange(-(1 << 60), 1 << 60) for _ in range(n)]
             assert evaluate(n, x) == oracles.circulant_det(x), n

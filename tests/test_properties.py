@@ -1,7 +1,7 @@
 # Property tests on random valid index sets: the engine against independent
 # oracles, and covariance under the group action x -> mult*x + shift.
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from circulant import coeff_engine as ce, oracles
 from test_coeff_engine import _partition_sum_dense, _reduce_representative_by_search
@@ -104,3 +104,36 @@ def test_off_gate_coefficient_is_zero(a):
 @given(valid_index_sets(3, 16))
 def test_divisibility_bound_divides_coefficient(a):
     assert ce.coefficient(a) % ce.divisibility_bound(a) == 0
+
+
+@st.composite
+def pinnable_index_sets(draw):
+    """Sorted index sets of length N = 10..30 that pass the residue gate,
+    with 3..10 indices >= 2 of at least two distinct values.
+
+    The indices >= 2 are drawn from a pool of up to that many values, so
+    some tails repeat values and some do not, and both lattices come up.
+    """
+    n = draw(st.integers(10, 30))
+    k = draw(st.integers(3, 10))
+    pool = draw(st.lists(st.integers(2, n - 1), min_size=2, max_size=k, unique=True))
+    head = draw(st.lists(st.sampled_from(pool), min_size=k - 1, max_size=k - 1))
+    ones = draw(st.integers(0, n - k))
+    head += [1] * ones + [0] * (n - k - ones)
+    a = tuple(sorted(head + [-sum(head) % n]))
+    big = [x for x in a if x >= 2]
+    assume(len(big) >= 3 and len(set(big)) >= 2)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(pinnable_index_sets())
+def test_partition_sum_is_the_same_for_every_pin(a):
+    # _theorem3 pins one copy of the largest index >= 2; pinning a copy of
+    # any other leaves a different tail, often on the other lattice, and
+    # the same sum. This checks both kernels and their wrap tests at N
+    # where no oracle runs
+    n, m = len(a), ce.multiplicities(a)
+    big = a[m[0] + m[1]:]
+    tails = {big[:i] + big[i + 1:] for i in range(len(big))}
+    assert len({ce._partition_sum(tail, n, m[0], m[1]) for tail in tails}) == 1, a
