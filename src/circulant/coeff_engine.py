@@ -322,9 +322,10 @@ def reduce_representative(a):
     """
     a = as_index_set(a)
     n = len(a)
-    if n == 1:
-        return a, 1
     m = multiplicities(a)
+    if max(m) == 1:
+        # every index distinct: every image is m itself, so the identity wins
+        return a, 1
     # fewest indices >= 2, then fewest 1s, then the smallest sorted index
     # tuple, which is the largest multiplicity vector; the first image in
     # element order wins ties.
@@ -338,10 +339,27 @@ def reduce_representative(a):
              for u in range(n) if m[u] for w, i in _pairs_at(n, u)]
     top = max(heads)[0]
     picks = sorted(i for head, i in heads if head == top)
-    # only the picked elements are built, not the N * phi(N) of group_table
-    image, sign = max(((image_of(m), sign) for _, sign, image_of in (_element(n, i) for i in picks)),
-                      key=itemgetter(0))
-    return indices_from_multiplicities(image), sign
+    if len(picks) > 1:
+        # the picks agree on entries 0 and 1; element i reads entry k of its
+        # image at m[(u + k*d) mod N], d = 1/mult and u = -shift*d, so the
+        # rest is compared entry by entry without building any image, and
+        # the first element in table order wins a full tie
+        mults = coprime_residues(n)
+        lines = []
+        for i in picks:
+            shift, j = divmod(i, len(mults))
+            d = pow(mults[j], -1, n)
+            lines.append((i, -shift * d % n, d))
+        for k in range(2, n):
+            column = [m[(u + k * d) % n] for _, u, d in lines]
+            best = max(column)
+            lines = [line for line, v in zip(lines, column) if v == best]
+            if len(lines) == 1:
+                break
+        picks = [lines[0][0]]
+    # only the winner's image is built, not the N * phi(N) of group_table
+    _, sign, image_of = _element(n, picks[0])
+    return indices_from_multiplicities(image_of(m)), sign
 
 
 def coefficient(a) -> int:

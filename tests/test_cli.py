@@ -7,6 +7,7 @@ import sys
 import time
 
 import circulant
+import cold_budgets
 from circulant import cli, coeff_engine, expansion, oracles, symmetry
 from circulant.coeff_engine import indices_from_multiplicities
 from circulant.symmetry import valid_vectors
@@ -57,14 +58,16 @@ def test_coeff_check_refused_above_window(capsys):
 
 
 def test_coeff_refused_above_state_limit(capsys):
-    # every index distinct at N = 23 leaves 20 labels, 3^20 pairs of a
-    # labeled subset and a submask
-    t0 = time.time()
-    code, out, err = _call(capsys, ["coeff", "23", ",".join(map(str, range(23)))])
-    assert time.time() - t0 < 1.0
-    assert (code, out) == (2, "")
-    assert err == "error: the partition sum needs %d steps, above the limit of %d\n" % (
-        3 ** 20, coeff_engine.MAX_PARTITION_STEPS)
+    # every index distinct at N leaves N - 3 labels, 3^(N-3) pairs of a
+    # labeled subset and a submask; at N = 1001 all N phi(N) group
+    # elements tie in the reduction, which must not build their images
+    for n in (23, 1001):
+        t0 = time.time()
+        code, out, err = _call(capsys, ["coeff", str(n), ",".join(map(str, range(n)))])
+        assert time.time() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: the partition sum needs %d steps, above the limit of %d\n" % (
+            3 ** (n - 3), coeff_engine.MAX_PARTITION_STEPS)
 
 
 def test_coeff_check_mismatch(capsys, monkeypatch):
@@ -254,6 +257,16 @@ def test_orbit_commands_range_check(capsys):
     for command in ("multiplets", "zeros"):
         for n in ("13", "1"):
             assert run(capsys, command, n) == (2, ""), (command, n)
+
+
+def test_every_cap_has_a_cold_budget():
+    # a command whose N is capped runs under a budget at its cap, so a
+    # raised cap needs a new row in the budget table
+    capped = {(name, str(entry[3][1])) for name, entry in cli.COMMANDS.items()
+              if entry[3] is not None and entry[3][1] != float("inf")}
+    budgeted = {tuple(row.argv[:2]) for row in cold_budgets.ROWS if row.code == 0}
+    assert {name for name, _ in capped} == {"expand", "multiplets", "zeros"}
+    assert capped <= budgeted
 
 
 def test_multiplets_output(capsys):
