@@ -62,12 +62,15 @@ ROWS = [
     # sub-content, under MAX_PARTITION_STEPS
     Row(["coeff", "29", _indices((0, 4), *((v, 2) for v in range(1, 13)), (18, 1))], 0,
         r"-181910218176\n", 10, 32),
-    # an empty partition sum: the reduction builds the partner pairs of the
+    # an empty partition sum: the reduction ranks the lines starting on the
     # three support positions only, not all N phi(N)
     Row(["coeff", "3840", _indices((0, 3838), (1, 1), (3839, 1))], 0, r"-3840\n", 2, 32),
     # no two support positions differ by a unit, so about phi(N) group
     # elements tie for the top rank; only the winner's image is built
     Row(["coeff", "3840", _indices((0, 3838), (2, 1), (3838, 1))], 0, r"-3840\n", 2, 32),
+    # one value: all phi(N) lines tie, and entry 0 alone adds up to N, so
+    # the tie is broken by group order without reading another entry
+    Row(["coeff", "10000", _indices((5, 10000))], 0, r"-1\n", 2, 32),
     # exit codes of the real process, through run() and sys.exit: a usage
     # error prints one stderr line and no stdout, help goes to stdout
     Row([], 2, "", 2, 24),

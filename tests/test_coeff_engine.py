@@ -419,20 +419,24 @@ def test_reduce_representative_preserves_value():
 
 def test_reduce_representative_builds_only_its_picks(monkeypatch):
     # at N = 60 the whole group table would hold 60 * 16 images of 60
-    # entries; the reduction builds only the element that wins
+    # entries; the reduction builds only the element that wins. In 7^60
+    # every line's entry 0 already adds up to N, so the tie walk reads
+    # nothing; in 0^30 30^30 every line reads 30 at entries 0 and 30 and 0
+    # elsewhere, so the walk ends at entry 30
     def refuse(n):
         raise AssertionError("group_table built")
 
     monkeypatch.setattr(ce, "group_table", refuse)
-    for a in [(0,) * 55 + (1, 7, 13, 17, 22), (0,) * 57 + (1, 2, 57)]:
+    for a in [(0,) * 55 + (1, 7, 13, 17, 22), (0,) * 57 + (1, 2, 57),
+              (7,) * 60, (0,) * 30 + (30,) * 30]:
         assert ce.reduce_representative(a) == _reduce_representative_by_search(a), a
         assert ce.coefficient(a) == ce.coeff_theorem3(a), a
 
 
 def test_coefficient_at_large_n_in_linear_memory():
-    # the reduction builds the partner pairs of the support's positions
-    # only: the pairs of every position at N = 10^4 would be N phi(N),
-    # 4 * 10^7 of them and gigabytes; about 6 MB is traced here. In
+    # the reduction ranks the lines starting on the support only: the
+    # lines from every position at N = 10^4 would be N phi(N), 4 * 10^7
+    # of them and gigabytes; under 3 MB is traced here. In
     # 0^9998 2 9998 no two support positions differ by a unit, so about
     # phi(N) elements tie for the top rank: only the winner's image is built
     n = 10 ** 4
