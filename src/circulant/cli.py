@@ -55,12 +55,12 @@ def _csv(header, rows):
     return buf.getvalue().rstrip("\n")
 
 
-def poly_to_json(n, terms, include_zeros=False) -> str:
+def poly_to_json(n, terms) -> str:
     # one string per term, with no dict or list per term (those set expand 12's
     # peak RSS); the same bytes as json.dumps of
     # {"N": n, "terms": [{"M": [...], "coeff": "..."}, ...]} with no spaces
     term = '{"M":[%s],"coeff":"%%d"}' % ",".join(["%d"] * n)  # one format for every term
-    body = ",".join(term % (*key, value) for key, value in terms if include_zeros or value)
+    body = ",".join(term % (*key, value) for key, value in terms)
     return '{"N":%d,"terms":[%s]}' % (n, body)
 
 
@@ -74,12 +74,11 @@ def _key(m):
     return "".join(KEY_DIGITS[c] for c in m)
 
 
-def _poly_text(n, terms, include_zeros):
+def _poly_text(n, terms):
     groups = {}  # partition of N (the nonzero entries, descending) -> terms
     for term in terms:  # the groups share the list's pairs
-        if include_zeros or term[1]:
-            part = tuple(sorted((c for c in term[0] if c), reverse=True))
-            groups.setdefault(part, []).append(term)
+        part = tuple(sorted((c for c in term[0] if c), reverse=True))
+        groups.setdefault(part, []).append(term)
     lines = []
     # partitions of one N are never prefixes of each other, so descending
     # tuple order is descending order part by part
@@ -89,9 +88,8 @@ def _poly_text(n, terms, include_zeros):
     return "\n".join(lines)
 
 
-def _poly_csv(n, terms, include_zeros):
-    return _csv(["M", "coeff"], ((_key(key), value)
-                                 for key, value in terms if include_zeros or value))
+def _poly_csv(n, terms):
+    return _csv(["M", "coeff"], ((_key(key), value) for key, value in terms))
 
 
 def cmd_coeff(args):
@@ -123,7 +121,8 @@ def cmd_coeff(args):
 
 def cmd_expand(args):
     render = {"json": poly_to_json, "csv": _poly_csv, "text": _poly_text}[args.format]
-    print(render(args.N, expansion.expand(args.N), args.include_zeros))
+    terms = expansion.expand(args.N)
+    print(render(args.N, terms if args.include_zeros else (t for t in terms if t[1])))
     return EXIT_OK
 
 
@@ -171,8 +170,7 @@ def zeros_report(n):
     else:
         zero = family.values()
         for signs in zero:
-            assert coeff_engine.coeff_theorem3(
-                coeff_engine.indices_from_multiplicities(max(signs))) == 0
+            assert coeff_engine._theorem3(max(signs))[0] == 0
     listing = []
     for signs in zero:
         kind = "corollary6" if min(signs) in family else "accidental"

@@ -40,9 +40,10 @@ def indices_from_multiplicities(m):
     return tuple(out)
 
 
-def coeff_all_equal(value: int, n: int) -> int:
-    """Coefficient of x_value^N: (-1)^(value*(N-1))."""
-    return -1 if (value * (n - 1)) % 2 else 1
+def coeff_all_equal(k: int, n: int) -> int:
+    """Coefficient of x_k^N: (-1)^(k*(N-1)). It is also the sign of the
+    shift by k, which maps x_0^N, of coefficient 1, to x_k^N."""
+    return -1 if (k * (n - 1)) % 2 else 1
 
 
 # The most pairs of a DP state and a sub-state it pulls from that a partition
@@ -213,18 +214,20 @@ def _partition_sum_by_content(rest, n, m0, m1):
 def coeff_theorem3(a) -> int:
     """C_[a] via the labeled partition sum, evaluated by a DP over labeled
     subsets or over sub-multisets, whichever the tail's shape favours."""
-    a = as_index_set(a)
-    return _theorem3(a, multiplicities(a))
+    return _theorem3(multiplicities(as_index_set(a)))[0]
 
 
-def _theorem3(a, m):
-    """coeff_theorem3 of an index set already sorted and validated, with its
-    multiplicity vector m."""
-    n = len(a)
-    if sum(a) % n != 0:
-        return 0
+def _theorem3(m):
+    """(value, path) of the closed form at the index set whose multiplicity
+    vector is m, the one place a coefficient's case is decided: 0 off the
+    residue gate, the sign of x_k^N when k fills the set, else the
+    partition sum."""
+    n = len(m)
+    a = indices_from_multiplicities(m)
+    if sum(a) % n:
+        return 0, "residue-gate"
     if a[0] == a[-1]:
-        return coeff_all_equal(a[0], n)
+        return coeff_all_equal(a[0], n), "all-equal"
     m0, m1 = m[0], m[1]
     big = a[m0 + m1:]
     # condition 8 with two distinct values present forces at least one index >= 2
@@ -237,7 +240,7 @@ def _theorem3(a, m):
     value = ((-1) ** (n - m0 - 1)) * n * brace
     denom = math.prod(map(factorial, m[2:]))
     assert value % denom == 0
-    return value // denom
+    return value // denom, "partition-sum"
 
 
 def corollary6_shapes(n: int):
@@ -281,7 +284,7 @@ def group_action(n: int, shift: int, mult: int):
     """
     inv = pow(mult, -1, n)
     perm = tuple(((i - shift) * inv) % n for i in range(n))
-    return perm, -1 if (shift * (n - 1)) % 2 else 1
+    return perm, coeff_all_equal(shift, n)
 
 
 @lru_cache(maxsize=None)
@@ -333,7 +336,7 @@ def reduce_representative(a):
     # shift = -u*mult and then by mult; only the winner maps the indices,
     # with group_action's sign
     shift, mult = min((-u * mult % n, mult) for u, d in lines for mult in [pow(d, -1, n)])
-    return tuple(sorted([(mult * x + shift) % n for x in a])), -1 if (shift * (n - 1)) % 2 else 1
+    return tuple(sorted([(mult * x + shift) % n for x in a])), coeff_all_equal(shift, n)
 
 
 def coefficient(a) -> int:
@@ -341,18 +344,11 @@ def coefficient(a) -> int:
 
 
 def coefficient_with_path(a):
-    """(C_[a], path, rep, sign): the value sign * coeff_theorem3(rep) at the
-    reduce_representative image (rep, sign) of [a], and the path that names
-    it: residue gate, all-equal, or the partition sum. The group keeps the
-    gate (b*sum + N*k = b*sum mod N, b a unit) and constant index sets, so
-    rep takes the branch of coeff_theorem3 that [a] would, and the path is
-    read from rep. reduce_representative validates [a] and returns rep
-    sorted, so rep is evaluated without a second check."""
+    """(C_[a], path, rep, sign): sign times the closed form at the
+    reduce_representative image (rep, sign) of [a], and the path that
+    evaluation took, which is the path [a] itself takes
+    (test_path_is_orbit_invariant checks every index set with N <= 7).
+    reduce_representative validates [a], so rep is not checked again."""
     rep, sign = reduce_representative(a)
-    if sum(rep) % len(rep):
-        path = "residue-gate"
-    elif rep[0] == rep[-1]:
-        path = "all-equal"
-    else:
-        path = "partition-sum"
-    return sign * _theorem3(rep, multiplicities(rep)), path, rep, sign
+    value, path = _theorem3(multiplicities(rep))
+    return sign * value, path, rep, sign

@@ -42,15 +42,15 @@ def orbit_values(n: int):
     """(canonical vector, coefficient) for every super orbit of dimension n,
     in lexicographic order of the canonical vectors.
 
-    The only place an expansion's orbits are evaluated, each at its
-    canonical vector by the closed form: a canonical vector already stands
-    for its orbit, so nothing reduces it first, and it is the multiplicity
-    vector of a valid index set, so nothing validates it again.
+    Each orbit is evaluated at its canonical vector by the closed form: a
+    canonical vector already stands for its orbit, so nothing reduces it
+    first, and it is the multiplicity vector of a valid index set, so
+    nothing validates it again. `zeros` above N = 8 evaluates only the
+    corollary-6 orbits, each in the same way, without this table.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    return tuple((m, coeff_engine._theorem3(coeff_engine.indices_from_multiplicities(m), m))
-                 for m in symmetry.canonical_vectors(n))
+    return tuple((m, coeff_engine._theorem3(m)[0]) for m in symmetry.canonical_vectors(n))
 
 
 def multiplet_rows(n: int):

@@ -11,6 +11,7 @@ killed at the bound) and peaks within its MB. The script exits 1 naming
 every row that broke its budget. A new budget or a raised cap is one row.
 """
 
+import math
 import os
 import re
 import subprocess
@@ -71,6 +72,10 @@ ROWS = [
     # one value: all phi(N) lines tie, and entry 0 alone adds up to N, so
     # the tie is broken by group order without reading another entry
     Row(["coeff", "10000", _indices((5, 10000))], 0, r"-1\n", 2, 32),
+    # 2,048 lines tie and agree through entry 1920, then a content DP runs
+    # over 1,919 copies of one value; (y0^2 - y1^2)^1920 gives the value
+    Row(["coeff", "3840", _indices((0, 1920), (1920, 1920))], 0,
+        r"%d\n" % math.comb(1920, 960), 10, 32),
     # exit codes of the real process, through run() and sys.exit: a usage
     # error prints one stderr line and no stdout, help goes to stdout
     Row([], 2, "", 2, 24),

@@ -328,9 +328,9 @@ def test_one_evaluation_per_super_orbit(capsys, monkeypatch):
     calls = [0]
     original = coeff_engine._theorem3
 
-    def counting(a, m):
+    def counting(m):
         calls[0] += 1
-        return original(a, m)
+        return original(m)
 
     monkeypatch.setattr(coeff_engine, "_theorem3", counting)
     for command in ("multiplets", "expand"):
@@ -437,8 +437,9 @@ def test_verify_determinant_catches_one_wrong_coefficient(capsys, monkeypatch):
     # off by one at a single super-orbit representative of N = 6
     original = coeff_engine._theorem3
 
-    def off_by_one(a, m):
-        return original(a, m) + (tuple(a) == (0, 0, 0, 1, 2, 3))
+    def off_by_one(m):
+        value, path = original(m)
+        return value + (m == (3, 1, 1, 1, 0, 0)), path
 
     monkeypatch.setattr(coeff_engine, "_theorem3", off_by_one)
     expansion.orbit_values.cache_clear()

@@ -7,7 +7,6 @@ import pytest
 
 from circulant import coeff_engine as ce, oracles
 from circulant.exactmath import binomial, factorial
-from circulant.oracles import classify
 from circulant.symmetry import valid_vectors
 
 # frozen values, each independently recomputable from the determinant itself
@@ -85,13 +84,13 @@ def test_two_value_tail_matches_general_form():
 
 
 def test_path_is_orbit_invariant():
-    # evaluating at the reduced image must not change the reported path
-    for n in range(2, 9):
-        for rec in classify(n):
-            if rec.kind == "super":
-                paths = {ce.coefficient_with_path(ce.indices_from_multiplicities(vec))[1]
-                         for vec, _ in rec.members}
-                assert len(paths) == 1, (n, rec.representative, paths)
+    # coefficient_with_path evaluates the reduced image and reports its
+    # path, which is the path [a] itself takes: the group keeps the residue
+    # gate and constant index sets. Every index set with N <= 7, off the
+    # gate too
+    for n in range(1, 8):
+        for a in itertools.combinations_with_replacement(range(n), n):
+            assert ce.coefficient_with_path(a)[1] == ce._theorem3(ce.multiplicities(a))[1], a
 
 
 def test_shift_covariance():
@@ -450,6 +449,16 @@ def test_coefficient_at_large_n_in_linear_memory():
             tracemalloc.stop()
         assert value == ce.coeff_theorem3(a) == want
         assert peak < 16 * 2 ** 20, (a[-2:], peak)
+
+
+def test_two_value_power_identity_far_above_the_oracles():
+    # x_0 = y0, x_h = y1 and every other x_k = 0 turn det circ_2h into
+    # (det circ_2(y0, y1))^h = (y0^2 - y1^2)^h, the power identity with
+    # d = h, so the coefficient of 0^h h^h is (-1)^(h/2) C(h, h/2) for even
+    # h and 0 for odd h, at N far above every oracle's cap
+    for h in [*range(1, 121), 480]:
+        want = (-1) ** (h // 2) * math.comb(h, h // 2) if h % 2 == 0 else 0
+        assert ce.coefficient((0,) * h + (h,) * h) == want, h
 
 
 def test_reduce_representative_not_more_expensive():
