@@ -206,12 +206,12 @@ def _verify_oracle(lo, hi):
     for n in range(lo, hi + 1):
         leib = oracles.leibniz_expansion(n)
         for m in symmetry.valid_vectors(n):
-            a = coeff_engine.indices_from_multiplicities(m)
-            got = coeff_engine.coeff_theorem3(a)
+            got = coeff_engine._theorem3(m)[0]
             want = leib.get(m, 0)
             if got != want:
                 return "N=%d %s: engine %d vs determinant %d" % (n, m, got, want)
-            if n <= 7 and oracles.coeff_via_theorem2(a) != want:
+            if n <= 7 and oracles.coeff_via_theorem2(
+                    coeff_engine.indices_from_multiplicities(m)) != want:
                 return "N=%d %s: count-based oracle disagrees" % (n, m)
     return None
 
@@ -246,8 +246,7 @@ def _verify_symmetry(lo, hi):
             c = coeff_engine.coefficient(a)
             if c % coeff_engine.divisibility_bound(a) != 0:
                 return "divisibility bound violated at N=%d %s" % (n, m)
-            shifted = coeff_engine.indices_from_multiplicities(tuple(m[p] for p in perm))
-            if coeff_engine.coeff_theorem3(shifted) * sign != c:
+            if coeff_engine._theorem3(tuple(m[p] for p in perm))[0] * sign != c:
                 return "shift covariance violated at N=%d %s" % (n, m)
     return None
 

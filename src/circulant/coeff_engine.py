@@ -8,7 +8,7 @@
 import math
 from functools import lru_cache
 from itertools import compress, product
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .exactmath import binomial, factorial
 
@@ -19,7 +19,7 @@ def as_index_set(a):
     n = len(a)
     if n < 1:
         raise ValueError("empty index set")
-    if any(x < 0 or x >= n for x in a):
+    if a[0] < 0 or a[-1] >= n:  # sorted, so its ends bound every index
         raise ValueError("indices must lie in [0, N-1]")
     return a
 
@@ -35,8 +35,8 @@ def multiplicities(a):
 
 def indices_from_multiplicities(m):
     out = []
-    for value, count in enumerate(m):
-        out.extend([value] * count)
+    for value in compress(range(len(m)), m):
+        out += [value] * m[value]
     return tuple(out)
 
 
@@ -58,8 +58,9 @@ class StateLimitError(ValueError):
     pairs of a state and a sub-state."""
 
 
-def _partition_sum(rest, n, m0, m1):
-    """Sum over labeled set partitions P of `rest` of prod_parts (z-1)! * Lambda(P).
+def _partition_sum(tail, n, m0, m1):
+    """Sum over labeled set partitions P of `tail`, (value, count) pairs with
+    one label per copy, of prod_parts (z-1)! * Lambda(P).
 
     Lambda(P) sums, over the nonempty sets S of P's parts with sum_S x <= M1,
     prod_S (-N) C(x+z-1, z-1) times C(N-M0-1-sum_S (x+z), M1-sum_S x), where a
@@ -88,15 +89,16 @@ def _partition_sum(rest, n, m0, m1):
     2^p <= 3 prod_v (m_v+1). Above MAX_PARTITION_STEPS pairs it raises
     StateLimitError before building anything.
     """
-    counts = [rest.count(v) for v in set(rest)]
-    by_label = 1 << len(rest) <= 3 * math.prod(k + 1 for k in counts)
-    steps = 3 ** len(rest) if by_label else math.prod(math.comb(k + 2, 2) for k in counts)
+    counts = [k for _, k in tail]
+    p = sum(counts)
+    by_label = 1 << p <= 3 * math.prod(k + 1 for k in counts)
+    steps = 3 ** p if by_label else math.prod(math.comb(k + 2, 2) for k in counts)
     if steps > MAX_PARTITION_STEPS:
         raise StateLimitError("the partition sum needs %d steps, above the limit of %d"
                               % (steps, MAX_PARTITION_STEPS))
     if by_label:
-        return _partition_sum_by_label(rest, n, m0, m1)
-    return _partition_sum_by_content(rest, n, m0, m1)
+        return _partition_sum_by_label(tail, n, m0, m1)
+    return _partition_sum_by_content(tail, n, m0, m1)
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +118,7 @@ def _close(buckets, p, n, m0, m1):
     return total
 
 
-def _partition_sum_by_label(rest, n, m0, m1):
+def _partition_sum_by_label(tail, n, m0, m1):
     """_partition_sum with G indexed by the subsets T of the labels.
 
     Each label is one bit, each subset of the labels one bitmask. Only a
@@ -130,11 +132,12 @@ def _partition_sum_by_label(rest, n, m0, m1):
     the partition's x would then sum to X_T + N. G_T is summed into one
     bucket per (|T|, X_T) for _close. Everything stays in integers.
     """
-    p = len(rest)
-    # X of every subset, bit i standing for rest[i]
+    # X of every subset, one bit per copy of each value: 2^p subsets
     xs = [0]
-    for v in rest:
-        xs += [(x - v) % n for x in xs]
+    for v, k in tail:
+        for _ in range(k):
+            xs += [(x - v) % n for x in xs]
+    p = len(xs).bit_length() - 1
     # the part weight w and G of each subset with X <= M1, zero elsewhere;
     # a submask comes before its set, so the ascending walk meets every G_r
     # it pulls already summed
@@ -158,9 +161,9 @@ def _partition_sum_by_label(rest, n, m0, m1):
     return _close(buckets, p, n, m0, m1)
 
 
-def _partition_sum_by_content(rest, n, m0, m1):
+def _partition_sum_by_content(tail, n, m0, m1):
     """_partition_sum with G indexed by contents: G_T depends on T only
-    through its content c, a count per distinct value of `rest`, and
+    through its content c, a count per distinct value of the tail, and
     F(m)/(F(c) F(m-c)) labeled T have content c, F(c) = prod_v c_v!.
 
     Each content is one mixed-radix number, a digit per distinct value in
@@ -175,13 +178,12 @@ def _partition_sum_by_content(rest, n, m0, m1):
     divided by F(m), exactly, is the labeled DP's. Everything stays in
     integers.
     """
-    values = sorted(set(rest))
-    counts = [rest.count(v) for v in values]
-    p = len(rest)
+    counts = [k for _, k in tail]
+    p = sum(counts)
     fm = math.prod(map(factorial, counts))
     # X of every content, and the place value of each digit
     xs, steps = [0], []
-    for v, k in zip(values, counts):
+    for v, k in tail:
         steps = [step * (k + 1) for step in steps] + [1]
         xs = [(x - j * v) % n for x in xs for j in range(k + 1)]
     # w' and H of each content with X <= M1, zero elsewhere; a sub-content
@@ -212,8 +214,7 @@ def _partition_sum_by_content(rest, n, m0, m1):
 
 
 def coeff_theorem3(a) -> int:
-    """C_[a] via the labeled partition sum, evaluated by a DP over labeled
-    subsets or over sub-multisets, whichever the tail's shape favours."""
+    """C_[a] by the closed form at [a] itself, with no reduction."""
     return _theorem3(multiplicities(as_index_set(a)))[0]
 
 
@@ -221,22 +222,23 @@ def _theorem3(m):
     """(value, path) of the closed form at the index set whose multiplicity
     vector is m, the one place a coefficient's case is decided: 0 off the
     residue gate, the sign of x_k^N when k fills the set, else the
-    partition sum."""
+    partition sum. It reads m alone and builds no index set."""
     n = len(m)
-    a = indices_from_multiplicities(m)
-    if sum(a) % n:
+    if sum(map(mul, range(n), m)) % n:
         return 0, "residue-gate"
-    if a[0] == a[-1]:
-        return coeff_all_equal(a[0], n), "all-equal"
+    if max(m) == n:
+        return coeff_all_equal(m.index(n), n), "all-equal"
     m0, m1 = m[0], m[1]
-    big = a[m0 + m1:]
+    tail = [(v, m[v]) for v in compress(range(2, n), m[2:])]
     # condition 8 with two distinct values present forces at least one index >= 2
-    assert big, "non-constant index set satisfying the residue gate has an index >= 2"
-    # the largest index >= 2 is pinned (N - M0 - 1 >= M1 as it exists).
-    # Pinning any other index >= 2 gave the same sum on all 3,460 canonical
-    # vectors at N = 4..12 and 147,028 random sets at N = 13..26: measured,
-    # not derived; test_partition_sum_is_the_same_for_every_pin checks it
-    brace = factorial(n - m0 - 1) // factorial(m1) + _partition_sum(big[:-1], n, m0, m1)
+    assert tail, "non-constant index set satisfying the residue gate has an index >= 2"
+    # one copy of the largest index >= 2 is pinned (N - M0 - 1 >= M1 as it
+    # exists). Pinning any other index >= 2 gave the same sum on all 3,460
+    # canonical vectors at N = 4..12 and 147,028 random sets at N = 13..26:
+    # measured, not derived; test_partition_sum_is_the_same_for_every_pin checks it
+    top, k = tail.pop()
+    tail += [(top, k - 1)] * (k > 1)
+    brace = factorial(n - m0 - 1) // factorial(m1) + _partition_sum(tail, n, m0, m1)
     value = ((-1) ** (n - m0 - 1)) * n * brace
     denom = math.prod(map(factorial, m[2:]))
     assert value % denom == 0
@@ -298,24 +300,24 @@ def group_table(n: int):
 
 
 def reduce_representative(a):
-    """Cheapest-to-evaluate image of [a] under shifts and coprime multipliers.
+    """(image, sign): [a]'s cheapest image under the group, coeff(a) == sign * coeff(image)."""
+    image, sign = _reduce(multiplicities(as_index_set(a)))
+    return indices_from_multiplicities(image), sign
 
-    Returns (index set, sign) with coeff(a) == sign * coeff(image).
-    """
-    a = as_index_set(a)
-    n = len(a)
-    m = multiplicities(a)
+
+def _reduce(m):
+    """reduce_representative on a multiplicity vector: (the image's vector, sign)."""
+    n = len(m)
     if max(m) == 1:
         # every index distinct: every image is m itself, so the identity wins
-        return a, 1
-    # fewest indices >= 2, then fewest 1s, then the smallest sorted index
-    # tuple, which is the largest multiplicity vector; the first image in
-    # group_table order wins ties. Each element is named by the line its
-    # image reads: entry k is m[(u + k*d) mod N], d = 1/mult running over
-    # the units as mult does, and u = -shift*d. The first two fields read
-    # entries 0 and 1 only and rank as one integer, (M0+M1)*N + M0: more
-    # 0s and 1s, then fewer 1s, as 1 <= M0 <= N. A line with m[u] = 0
-    # ranks below the line starting at u + d, so u runs over the support
+        return m, 1
+    # fewest indices >= 2, then fewest 1s, then the smallest sorted index tuple,
+    # which is the largest multiplicity vector. Each element is named by the line
+    # its image reads: entry k is m[(u + k*d) mod N], d = 1/mult running over the
+    # units as mult does, and u = -shift*d. The first two fields read entries 0
+    # and 1 only and rank as one integer, (M0+M1)*N + M0: more 0s and 1s, then
+    # fewer 1s, as 1 <= M0 <= N. A line with m[u] = 0 ranks below the line
+    # starting at u + d, so u runs over the support
     mm = m + m  # mm[u + d] = m[(u + d) mod N]
     heads = [((mu + mm[u + d]) * n + mu, u, d)
              for u, mu in enumerate(m) if mu for d in coprime_residues(n)]
@@ -332,11 +334,11 @@ def reduce_representative(a):
         lines = [line for line, v in zip(lines, column) if v == best]
         left -= best
         k += 1
-    # a full tie goes to the first line in group_table order, by its
-    # shift = -u*mult and then by mult; only the winner maps the indices,
-    # with group_action's sign
-    shift, mult = min((-u * mult % n, mult) for u, d in lines for mult in [pow(d, -1, n)])
-    return tuple(sorted([(mult * x + shift) % n for x in a])), coeff_all_equal(shift, n)
+    # every line left reads one image; a full tie goes to the first in group_table
+    # order, by shift = -u*mult, so only the shift, for the sign, is compared
+    shift = min(-u * pow(d, -1, n) % n for u, d in lines)
+    u, d = lines[0]
+    return tuple([m[i % n] for i in range(u, u + n * d, d)]), coeff_all_equal(shift, n)
 
 
 def coefficient(a) -> int:
@@ -344,11 +346,10 @@ def coefficient(a) -> int:
 
 
 def coefficient_with_path(a):
-    """(C_[a], path, rep, sign): sign times the closed form at the
-    reduce_representative image (rep, sign) of [a], and the path that
-    evaluation took, which is the path [a] itself takes
-    (test_path_is_orbit_invariant checks every index set with N <= 7).
-    reduce_representative validates [a], so rep is not checked again."""
-    rep, sign = reduce_representative(a)
-    value, path = _theorem3(multiplicities(rep))
-    return sign * value, path, rep, sign
+    """(C_[a], path, rep, sign): sign times the closed form at the reduce_representative
+    image (rep, sign) of [a], and the path that evaluation took, which is the path [a]
+    itself takes (test_path_is_orbit_invariant checks every index set with N <= 7).
+    [a] is validated once; the closed form reads the image's counts."""
+    image, sign = _reduce(multiplicities(as_index_set(a)))
+    value, path = _theorem3(image)
+    return sign * value, path, indices_from_multiplicities(image), sign

@@ -165,22 +165,22 @@ def test_help_for_every_command(capsys):
 
 def test_coeff_reduces_once(capsys, monkeypatch):
     calls = [0]
-    original = coeff_engine.reduce_representative
+    original = coeff_engine._reduce
 
-    def counting(a):
+    def counting(m):
         calls[0] += 1
-        return original(a)
+        return original(m)
 
     # partition sum at N = 16, then the residue-gate and all-equal paths,
     # which report the same representative as the partition-sum path would
     for n, text, path in ((16, "0,0,0,0,0,0,0,1,1,1,2,5,5,9,12,12", "partition-sum"),
                           (5, "0,0,1,2,3", "residue-gate"), (4, "2,2,2,2", "all-equal")):
-        monkeypatch.setattr(coeff_engine, "reduce_representative", counting)
+        monkeypatch.setattr(coeff_engine, "_reduce", counting)
         calls[0] = 0
         code, out = run(capsys, "coeff", str(n), text, "--format", "json")
         assert code == 0 and calls[0] == 1, (n, text, calls[0])
-        monkeypatch.setattr(coeff_engine, "reduce_representative", original)
-        rep, sign = original([int(t) for t in text.split(",")])
+        monkeypatch.setattr(coeff_engine, "_reduce", original)
+        rep, sign = coeff_engine.reduce_representative([int(t) for t in text.split(",")])
         doc = json.loads(out)
         assert doc["path"] == path
         assert doc["representative"] == {"indices": list(rep), "sign": sign}
@@ -407,9 +407,10 @@ def test_orbit_route_does_not_reduce(capsys, monkeypatch):
     # expand, multiplets or zeros route reduces it; above N = 8 zeros checks
     # each corollary-6 orbit at its canonical member
     def refuse(a):
-        raise AssertionError("reduce_representative(%s) called" % (a,))
+        raise AssertionError("reduction of %s called" % (a,))
 
     monkeypatch.setattr(coeff_engine, "reduce_representative", refuse)
+    monkeypatch.setattr(coeff_engine, "_reduce", refuse)
     expansion.orbit_values.cache_clear()
     for n in range(1, 11):
         assert run(capsys, "expand", str(n))[0] == 0, n

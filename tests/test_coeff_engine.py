@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from circulant import coeff_engine as ce, oracles
+from circulant import coeff_engine as ce, expansion, oracles, symmetry
 from circulant.exactmath import binomial, factorial
 from circulant.symmetry import valid_vectors
 
@@ -275,6 +275,12 @@ def _partition_sum_dense(rest, n, m0, m1):
     return total
 
 
+def _pairs(rest):
+    """The label tuple `rest` as the tail the partition sum takes: sorted
+    (value, count) pairs, one per distinct value."""
+    return tuple((v, rest.count(v)) for v in sorted(set(rest)))
+
+
 KERNELS = (ce._partition_sum_by_label, ce._partition_sum_by_content)
 
 
@@ -295,11 +301,11 @@ def test_partition_sum_edge_cases():
         ((3, 3), 6, 0, 3, -18),
     ]
     for rest, n, m0, m1, want in cases:
-        got = ce._partition_sum(rest, n, m0, m1)
+        got = ce._partition_sum(_pairs(rest), n, m0, m1)
         assert got == _partition_sum_dense(rest, n, m0, m1), (rest, n, m0, m1)
         assert got == want if want is not None else got != 0, (rest, n, m0, m1)
         for kernel in KERNELS:
-            assert kernel(rest, n, m0, m1) == got, (kernel.__name__, rest, n, m0, m1)
+            assert kernel(_pairs(rest), n, m0, m1) == got, (kernel.__name__, rest, n, m0, m1)
 
 
 def test_partition_sum_matches_dense_dp_large_p():
@@ -320,7 +326,7 @@ def test_partition_sum_matches_dense_dp_large_p():
             args = rest, n, m0, m1
             want = _partition_sum_dense(*args)
             for kernel in KERNELS:
-                assert kernel(*args) == want, (kernel.__name__, args)
+                assert kernel(_pairs(rest), n, m0, m1) == want, (kernel.__name__, args)
     # nine labels at M0 = 0, M1 = 10, N = 20, once distinct and once three
     # values three times (a shape the content kernel takes): 2*M1 >= N, so
     # two parts that each fit under M1 can wrap past N together
@@ -328,7 +334,7 @@ def test_partition_sum_matches_dense_dp_large_p():
         args = tuple(rest), 20, 0, 10
         want = _partition_sum_dense(*args)
         for kernel in KERNELS:
-            assert kernel(*args) == want, (kernel.__name__, args)
+            assert kernel(_pairs(rest), 20, 0, 10) == want, (kernel.__name__, args)
 
 
 def test_partition_sum_kernel_follows_tail_shape(monkeypatch):
@@ -346,7 +352,7 @@ def test_partition_sum_kernel_follows_tail_shape(monkeypatch):
     # ones are cheaper
     monkeypatch.setattr(ce, "_partition_sum_by_content", refuse)
     assert ce.coefficient(range(12)) == ce.coeff_theorem3(range(12))
-    assert ce._partition_sum((2, 3, 3, 5, 7, 9, 11), 16, 2, 1) != 0
+    assert ce._partition_sum(_pairs((2, 3, 3, 5, 7, 9, 11)), 16, 2, 1) != 0
 
 
 def test_partition_sum_refuses_above_state_limit(monkeypatch):
@@ -362,9 +368,9 @@ def test_partition_sum_refuses_above_state_limit(monkeypatch):
     # 19 distinct labels: 3^19 steps over labeled subsets; 18 are at the limit and run
     with pytest.raises(ce.StateLimitError,
                        match="needs %d steps, above the limit of %d$" % (3 ** 19, 3 ** 18)):
-        ce._partition_sum(tuple(range(2, 21)), 23, 1, 1)
+        ce._partition_sum(_pairs(range(2, 21)), 23, 1, 1)
     with pytest.raises(AssertionError, match="kernel reached"):
-        ce._partition_sum(tuple(range(2, 20)), 23, 1, 1)
+        ce._partition_sum(_pairs(range(2, 20)), 23, 1, 1)
 
 
 def test_content_kernel_has_its_own_state_limit(monkeypatch):
@@ -380,12 +386,12 @@ def test_content_kernel_has_its_own_state_limit(monkeypatch):
     # far fewer than over 2^24 labeled subsets
     with pytest.raises(ce.StateLimitError, match="needs %d steps, above the limit of %d$"
                        % (6 ** 12, ce.MAX_PARTITION_STEPS)):
-        ce._partition_sum(tuple(v for v in range(2, 14) for _ in range(2)), 29, 2, 1)
+        ce._partition_sum(_pairs(tuple(v for v in range(2, 14) for _ in range(2))), 29, 2, 1)
     # ten and eleven values twice each, 6^10 and 6^11 steps, are within the
     # limit and run
     for top in (12, 13):
         with pytest.raises(AssertionError, match="kernel reached"):
-            ce._partition_sum(tuple(v for v in range(2, top) for _ in range(2)), 29, 3, 3)
+            ce._partition_sum(_pairs(tuple(v for v in range(2, top) for _ in range(2))), 29, 3, 3)
 
 
 def test_one_validation_per_coefficient(monkeypatch):
@@ -404,6 +410,25 @@ def test_one_validation_per_coefficient(monkeypatch):
         calls[0] = 0
         assert ce.coefficient_with_path(a)[1] == path
         assert calls[0] == 1, (a, calls[0])
+
+
+def test_engine_builds_no_index_tuple(monkeypatch):
+    # the closed form and the reduction read the multiplicity vector alone:
+    # on every path, in the reduction, and over the whole orbit table, no
+    # index tuple is built from counts
+    def refuse(m):
+        raise AssertionError("indices_from_multiplicities(%s) called" % (m,))
+
+    monkeypatch.setattr(ce, "indices_from_multiplicities", refuse)
+    for m, path in (((2, 4, 0, 1, 0, 0, 0, 1, 2, 0), "partition-sum"),
+                    ((1, 1, 1, 2, 0), "residue-gate"), ((0, 0, 4, 0), "all-equal")):
+        assert ce._theorem3(m)[1] == path, m
+    assert ce._reduce((2, 4, 0, 1, 0, 0, 0, 1, 2, 0)) == ((4, 2, 0, 2, 1, 0, 0, 0, 1, 0), -1)
+    assert ce._reduce((0, 0, 4, 0)) == ((4, 0, 0, 0), 1)
+    for n in range(1, 9):
+        expansion.orbit_values.cache_clear()
+        assert len(expansion.orbit_values(n)) == symmetry.count_super_orbits(n), n
+    expansion.orbit_values.cache_clear()
 
 
 def test_reduce_representative_preserves_value():

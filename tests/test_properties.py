@@ -4,7 +4,7 @@
 from hypothesis import assume, given, settings, strategies as st
 
 from circulant import coeff_engine as ce, oracles
-from test_coeff_engine import _partition_sum_dense, _reduce_representative_by_search
+from test_coeff_engine import _pairs, _partition_sum_dense, _reduce_representative_by_search
 
 
 @st.composite
@@ -78,9 +78,10 @@ def partition_sum_args(draw):
 @given(partition_sum_args())
 def test_partition_sum_matches_dense_dp(args):
     want = _partition_sum_dense(*args)
-    assert ce._partition_sum(*args) == want
-    assert ce._partition_sum_by_label(*args) == want
-    assert ce._partition_sum_by_content(*args) == want
+    rest, n, m0, m1 = args
+    assert ce._partition_sum(_pairs(rest), n, m0, m1) == want
+    assert ce._partition_sum_by_label(_pairs(rest), n, m0, m1) == want
+    assert ce._partition_sum_by_content(_pairs(rest), n, m0, m1) == want
 
 
 @st.composite
@@ -136,4 +137,4 @@ def test_partition_sum_is_the_same_for_every_pin(a):
     n, m = len(a), ce.multiplicities(a)
     big = a[m[0] + m[1]:]
     tails = {big[:i] + big[i + 1:] for i in range(len(big))}
-    assert len({ce._partition_sum(tail, n, m[0], m[1]) for tail in tails}) == 1, a
+    assert len({ce._partition_sum(_pairs(tail), n, m[0], m[1]) for tail in tails}) == 1, a
