@@ -58,6 +58,18 @@ class StateLimitError(ValueError):
     pairs of a state and a sub-state."""
 
 
+def _lattice_steps(counts, by_label):
+    """Steps of a tail with these counts: 3^p pairs of a state and a sub-state over the
+    2^p labeled subsets, or prod_v C(m_v+2, 2) over the contents; both grow with a count."""
+    return 3 ** sum(counts) if by_label else math.prod(math.comb(k + 2, 2) for k in counts)
+
+
+def _refuse_above_limit(steps):
+    if steps > MAX_PARTITION_STEPS:
+        raise StateLimitError("the partition sum needs %d steps, above the limit of %d"
+                              % (steps, MAX_PARTITION_STEPS))
+
+
 def _partition_sum(tail, n, m0, m1):
     """Sum over labeled set partitions P of `tail`, (value, count) pairs with
     one label per copy, of prod_parts (z-1)! * Lambda(P).
@@ -90,12 +102,8 @@ def _partition_sum(tail, n, m0, m1):
     StateLimitError before building anything.
     """
     counts = [k for _, k in tail]
-    p = sum(counts)
-    by_label = 1 << p <= 3 * math.prod(k + 1 for k in counts)
-    steps = 3 ** p if by_label else math.prod(math.comb(k + 2, 2) for k in counts)
-    if steps > MAX_PARTITION_STEPS:
-        raise StateLimitError("the partition sum needs %d steps, above the limit of %d"
-                              % (steps, MAX_PARTITION_STEPS))
+    by_label = 1 << sum(counts) <= 3 * math.prod(k + 1 for k in counts)
+    _refuse_above_limit(_lattice_steps(counts, by_label))
     if by_label:
         return _partition_sum_by_label(tail, n, m0, m1)
     return _partition_sum_by_content(tail, n, m0, m1)
@@ -278,25 +286,15 @@ def coprime_residues(n: int):
     return tuple(b for b in range(1, max(n, 2)) if math.gcd(b, n) == 1)
 
 
-def group_action(n: int, shift: int, mult: int):
-    """The index map x -> mult*x + shift as (position permutation, sign).
-
-    It sends a multiplicity vector m to tuple(m[p] for p in perm), and the
-    image's coefficient is sign * coeff(m).
-    """
-    inv = pow(mult, -1, n)
-    perm = tuple(((i - shift) * inv) % n for i in range(n))
-    return perm, coeff_all_equal(shift, n)
-
-
 @lru_cache(maxsize=None)
 def group_table(n: int):
-    """(perm, sign, image) of every element, by shift and then by coprime
-    multiplier, so the identity comes first. image(m) is tuple(m[p] for p
-    in perm), built in C by itemgetter; itemgetter of one index returns a
-    scalar, and the one element at N = 1 is the identity, so `tuple` is it."""
-    actions = [group_action(n, shift, mult) for shift in range(n) for mult in coprime_residues(n)]
-    return tuple((perm, sign, itemgetter(*perm) if n > 1 else tuple) for perm, sign in actions)
+    """Row u holds (sign, image) for each line (u, d), d over coprime_residues(n),
+    the identity first: image(m), entry i at m[(u + i*d) mod N], is m's image under
+    x -> b*x + k, b = 1/d, k = -u*b, of coefficient sign * coeff(m), the sign of k.
+    itemgetter builds it in C; at N = 1 it would return a scalar, so `tuple` does."""
+    return tuple(tuple((coeff_all_equal(-u * pow(d, -1, n) % n, n),
+                        itemgetter(*[(u + i * d) % n for i in range(n)]) if n > 1 else tuple)
+                       for d in coprime_residues(n)) for u in range(n))
 
 
 def reduce_representative(a):
@@ -311,33 +309,26 @@ def _reduce(m):
     if max(m) == 1:
         # every index distinct: every image is m itself, so the identity wins
         return m, 1
-    # fewest indices >= 2, then fewest 1s, then the smallest sorted index tuple,
-    # which is the largest multiplicity vector. Each element is named by the line
-    # its image reads: entry k is m[(u + k*d) mod N], d = 1/mult running over the
-    # units as mult does, and u = -shift*d. The first two fields read entries 0
-    # and 1 only and rank as one integer, (M0+M1)*N + M0: more 0s and 1s, then
-    # fewer 1s, as 1 <= M0 <= N. A line with m[u] = 0 ranks below the line
+    # fewest indices >= 2, then fewest 1s, then the smallest sorted index tuple (the
+    # largest multiplicity vector), over the lines (u, d) of group_table. The first two
+    # fields read entries 0 and 1 only and rank as one integer, (M0+M1)*N + M0: more 0s
+    # and 1s, then fewer 1s, as 1 <= M0 <= N. A line with m[u] = 0 ranks below the line
     # starting at u + d, so u runs over the support
     mm = m + m  # mm[u + d] = m[(u + d) mod N]
     heads = [((mu + mm[u + d]) * n + mu, u, d)
              for u, mu in enumerate(m) if mu for d in coprime_residues(n)]
     top = max(heads)[0]
     lines = [(u, d) for head, u, d in heads if head == top]
-    # tied lines are compared entry by entry; once the entries read add up
-    # to N, every later entry is 0 on every tied line
     u, d = lines[0]
-    left = n - m[u] - mm[u + d]
-    k = 2
-    while left and len(lines) > 1:
-        column = [m[(u + k * d) % n] for u, d in lines]
-        best = max(column)
-        lines = [line for line, v in zip(lines, column) if v == best]
-        left -= best
-        k += 1
-    # every line left reads one image; a full tie goes to the first in group_table
-    # order, by shift = -u*mult, so only the shift, for the sign, is compared
-    shift = min(-u * pow(d, -1, n) % n for u, d in lines)
-    u, d = lines[0]
+    shift = -u * pow(d, -1, n) % n
+    if len(lines) > 1:
+        # with b = 1/d, line (u, d) holds m[s] at entry (s - u)*b mod N for each
+        # support point s and 0 elsewhere. Every image has as many nonzero entries,
+        # so the sorted list of (entry, -m[s]) is least for the largest image;
+        # equal images go to the least shift, whose sign is returned
+        support = list(compress(range(n), m))
+        _, shift, u, d = min((sorted([((s - u) * b % n, -m[s]) for s in support]),
+                              -u * b % n, u, d) for u, d in lines for b in [pow(d, -1, n)])
     return tuple([m[i % n] for i in range(u, u + n * d, d)]), coeff_all_equal(shift, n)
 
 
@@ -347,9 +338,16 @@ def coefficient(a) -> int:
 
 def coefficient_with_path(a):
     """(C_[a], path, rep, sign): sign times the closed form at the reduce_representative
-    image (rep, sign) of [a], and the path that evaluation took, which is the path [a]
-    itself takes (test_path_is_orbit_invariant checks every index set with N <= 7).
-    [a] is validated once; the closed form reads the image's counts."""
-    image, sign = _reduce(multiplicities(as_index_set(a)))
+    image (rep, sign) of [a], and the path that evaluation took, which is [a]'s own
+    (test_path_is_orbit_invariant). [a] is validated once. On the residue gate, the
+    cheapest tail an image can leave, every count but the two largest less one copy
+    of the smallest, is refused above the limit on both lattices before reducing."""
+    m = multiplicities(as_index_set(a))
+    n = len(m)
+    counts = sorted(filter(None, m))[:-2]  # all but the two largest
+    if counts and not sum(map(mul, range(n), m)) % n:
+        counts[0] -= 1
+        _refuse_above_limit(min(_lattice_steps(counts, by_label) for by_label in (True, False)))
+    image, sign = _reduce(m)
     value, path = _theorem3(image)
     return sign * value, path, indices_from_multiplicities(image), sign

@@ -5,6 +5,7 @@
 
 import cmath
 import itertools
+import math
 import random
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -44,7 +45,7 @@ def compose(g: GroupElement, h: GroupElement, n: int) -> GroupElement:
 
 def act(g: GroupElement, m):
     """Apply the index map x -> mult*x + shift to the multiplicity vector m,
-    on its index list; the reference for coeff_engine.group_action."""
+    on its index list; the reference for the lines of coeff_engine.group_table."""
     n = len(m)
     return multiplicities([(g.mult * x + g.shift) % n for x in indices_from_multiplicities(m)])
 
@@ -357,6 +358,37 @@ def power_identity_check(n: int, d: int) -> bool:
             if c and all(count == 0 for value, count in enumerate(m) if value % d)}
     right = _poly_power({m: c for m, c in expand(small) if c}, d, small)
     return left == right
+
+
+def coeff_via_power(a):
+    """C_[a] by the power identity, for [a] on one coset r + dZ_N with
+    s = N/d equal to 2 or 3; None for any other index set.
+
+    Shifting every index by -r, at the sign coeff_all_equal(r, N), puts [a]
+    on dZ_N, where det circ_N = (det circ_s(y))^d with y_j = x_(jd). So C_[a]
+    is that sign times the coefficient of prod_j y_j^c_j in the power, c_j
+    the indices at jd: in (y0^2 - y1^2)^d for s = 2, and for s = 3 in
+    (y0^3 + y1^3 + y2^3 - 3 y0 y1 y2)^d, a sum over the count t of the last
+    term of d!/(i! j! k! t!) (-3)^t with c = (3i + t, 3j + t, 3k + t).
+    """
+    a = as_index_set(a)
+    n = len(a)
+    s = next((s for s in (2, 3) if n % s == 0 and len({x % (n // s) for x in a}) == 1), None)
+    if s is None:
+        return None
+    d = n // s
+    r = a[0] % d
+    c = [0] * s
+    for x in a:
+        c[(x - r) // d] += 1
+    if s == 2:
+        # y1's exponent is twice the count of -y1^2 factors
+        value = 0 if c[1] % 2 else (-1) ** (c[1] // 2) * binomial(d, c[1] // 2)
+    else:
+        value = sum(factorial(d) // math.prod(map(factorial, [(k - t) // 3 for k in c] + [t]))
+                    * (-3) ** t
+                    for t in range(min(c) + 1) if all((k - t) % 3 == 0 for k in c))
+    return coeff_all_equal(r, n) * value
 
 
 def circulant_det(x):

@@ -55,12 +55,12 @@ def canonical_vectors(n: int):
 
     A shift moves any entry to position 0, so each orbit's largest member
     has its largest entry there: only the valid vectors with every entry at
-    most entry 0 are generated, and one is kept when no group image of it
-    is larger (orderly generation; R. C. Read, Ann. Discrete Math. 2, 1978).
-    """
+    most entry 0 are generated, and one is kept when no image is larger
+    on a line (u, d) with m[u] = m[0], the only ones whose entry 0, m[u], is
+    not smaller (orderly generation; R. C. Read, Ann. Discrete Math. 2, 1978)."""
     table = coeff_engine.group_table(n)
     return tuple(m for top in range(1, n + 1) for m in _vectors(n, top)
-                 if all(image(m) <= m for _, _, image in table))
+                 if all(image(m) <= m for u in range(n) if m[u] == top for _, image in table[u]))
 
 
 def orbit_signs(m):
@@ -71,8 +71,9 @@ def orbit_signs(m):
     signs puts the orbit's value at 0, so any sign times it is right.
     """
     signs = {}
-    for _, sign, image in coeff_engine.group_table(len(m)):
-        signs.setdefault(image(m), sign)
+    for row in coeff_engine.group_table(len(m)):
+        for sign, image in row:
+            signs.setdefault(image(m), sign)
     return signs
 
 
@@ -145,8 +146,8 @@ def supermultiplet_count(n: int) -> int:
 
 
 def _fixed_vector_count(n: int, perm) -> int:
-    """Valid vectors fixed by a group_action permutation, by dynamic
-    programming over its position cycles."""
+    """Valid vectors fixed by the group element that permutes the positions
+    by perm, by dynamic programming over its position cycles."""
     seen = [False] * n
     cycles = []  # (length, position-sum)
     for s in range(n):
@@ -174,5 +175,5 @@ def _fixed_vector_count(n: int, perm) -> int:
 
 def count_super_orbits(n: int) -> int:
     """Super-multiplet count by averaging fixed-vector counts over the group."""
-    table = coeff_engine.group_table(n)
-    return _exact_div(sum(_fixed_vector_count(n, perm) for perm, _, _ in table), len(table))
+    lines = [image(range(n)) for row in coeff_engine.group_table(n) for _, image in row]
+    return _exact_div(sum(_fixed_vector_count(n, perm) for perm in lines), len(lines))

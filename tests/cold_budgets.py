@@ -69,13 +69,21 @@ ROWS = [
     # no two support positions differ by a unit, so about phi(N) group
     # elements tie for the top rank; only the winner's image is built
     Row(["coeff", "3840", _indices((0, 3838), (2, 1), (3838, 1))], 0, r"-3840\n", 2, 32),
-    # one value: all phi(N) lines tie, and entry 0 alone adds up to N, so
-    # the tie is broken by group order without reading another entry
+    # one value: all phi(N) lines tie on the same one-entry sparse image,
+    # so the smallest shift breaks the tie
     Row(["coeff", "10000", _indices((5, 10000))], 0, r"-1\n", 2, 32),
-    # 2,048 lines tie and agree through entry 1920, then a content DP runs
-    # over 1,919 copies of one value; (y0^2 - y1^2)^1920 gives the value
+    # 2,048 lines tie, each compared by the entries of its two support
+    # points, then a content DP runs over 1,919 copies of one value;
+    # (y0^2 - y1^2)^1920 gives the value
     Row(["coeff", "3840", _indices((0, 1920), (1920, 1920))], 0,
         r"%d\n" % math.comb(1920, 960), 10, 32),
+    # 4,096 lines tie on one image, which agrees with the input through
+    # entry 7680: a tie must not be compared entry by entry
+    Row(["coeff", "15360", _indices((0, 15358), (7680, 2))], 0, r"-7680\n", 1, 32),
+    # 0,0,2,2,...: on the gate, and every tail an image can leave is above
+    # MAX_PARTITION_STEPS, so it is refused before its 480 phi(N) tied lines
+    # are compared
+    Row(["coeff", "960", _indices(*((v, 2) for v in range(0, 960, 2)))], 2, "", 2, 32),
     # exit codes of the real process, through run() and sys.exit: a usage
     # error prints one stderr line and no stdout, help goes to stdout
     Row([], 2, "", 2, 24),

@@ -60,14 +60,19 @@ def test_coeff_check_refused_above_window(capsys):
 def test_coeff_refused_above_state_limit(capsys):
     # every index distinct at N leaves N - 3 labels, 3^(N-3) pairs of a
     # labeled subset and a submask; at N = 1001 all N phi(N) group
-    # elements tie in the reduction, which must not build their images
-    for n in (23, 1001):
+    # elements tie in the reduction, which must not build their images.
+    # 0,0,2,2,...,958,958 ties all 480 phi(960) lines at the top; its
+    # cheapest tail, 477 values twice and one once, takes 3 * 6^477 steps
+    # on the content lattice, so it is refused before the reduction
+    for n, indices, steps in [
+            (23, range(23), 3 ** 20), (1001, range(1001), 3 ** 998),
+            (960, [i - i % 2 for i in range(960)], 3 * 6 ** 477)]:
         t0 = time.time()
-        code, out, err = _call(capsys, ["coeff", str(n), ",".join(map(str, range(n)))])
+        code, out, err = _call(capsys, ["coeff", str(n), ",".join(map(str, indices))])
         assert time.time() - t0 < 1.0
         assert (code, out) == (2, "")
         assert err == "error: the partition sum needs %d steps, above the limit of %d\n" % (
-            3 ** (n - 3), coeff_engine.MAX_PARTITION_STEPS)
+            steps, coeff_engine.MAX_PARTITION_STEPS)
 
 
 def test_coeff_check_mismatch(capsys, monkeypatch):

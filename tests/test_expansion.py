@@ -48,9 +48,12 @@ def test_no_orbit_is_fixed_by_a_negative_element():
     # fixed by an element of sign -1 has coeff = -coeff. At N <= 12 none is
     # fixed, so the value is computed only for one that is.
     for n in range(1, EXPAND_MAX_N + 1):
-        negative = [image for _, sign, image in coeff_engine.group_table(n) if sign < 0]
+        # x -> b*x + k has the sign of the shift k
+        negative = [oracles.GroupElement(k, b) for k in range(n)
+                    if coeff_engine.coeff_all_equal(k, n) < 0
+                    for b in coeff_engine.coprime_residues(n)]
         for m in symmetry.canonical_vectors(n):
-            if any(image(m) == m for image in negative):
+            if any(oracles.act(g, m) == m for g in negative):
                 assert coeff_engine.coeff_theorem3(
                     coeff_engine.indices_from_multiplicities(m)) == 0, (n, m)
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -160,3 +161,14 @@ def test_circulant_det_matches_permutation_sum():
     assert oracles.circulant_det([0, 0, 0, 0]) == 0
     with pytest.raises(ValueError):
         oracles.circulant_det([])
+
+
+def test_coeff_via_power_matches_permutation_sum():
+    # every index set with N <= 8: one on a coset r + dZ_N with N/d = 2 or 3
+    # gets the Leibniz coefficient, off or on the residue gate, any other None
+    for n in range(1, 9):
+        terms = oracles.leibniz_expansion(n)
+        for a in itertools.combinations_with_replacement(range(n), n):
+            on_coset = any(n % s == 0 and len({x % (n // s) for x in a}) == 1 for s in (2, 3))
+            want = terms.get(multiplicities(a), 0) if on_coset else None
+            assert oracles.coeff_via_power(a) == want, a

@@ -41,20 +41,63 @@ def test_theorem3_matches_labeled_enumeration(a):
 @settings(max_examples=150, deadline=None)
 @given(valid_index_sets(3, 12, max_tail=8), st.data())
 def test_group_action_covariance(a, data):
+    # x -> mult*x + shift maps [a] to an image whose coefficient is the
+    # shift's sign times [a]'s, and the element's line in group_table,
+    # (u, d) with d = 1/mult and u = -shift*d, holds that image and sign
     n = len(a)
     shift = data.draw(st.integers(0, n - 1))
     mult = data.draw(st.sampled_from(ce.coprime_residues(n)))
-    perm, sign = ce.group_action(n, shift, mult)
+    g, sign = oracles.GroupElement(shift, mult), ce.coeff_all_equal(shift, n)
     m = ce.multiplicities(a)
-    image = ce.indices_from_multiplicities(tuple(m[p] for p in perm))
+    image = ce.indices_from_multiplicities(oracles.act(g, m))
     assert image == tuple(sorted((mult * x + shift) % n for x in a))
     assert ce.coeff_theorem3(image) == sign * ce.coefficient(a)
+    d = pow(mult, -1, n)
+    line_sign, line_image = ce.group_table(n)[-shift * d % n][ce.coprime_residues(n).index(d)]
+    assert (line_sign, line_image(m)) == (sign, oracles.act(g, m))
+
+
+@st.composite
+def periodic_index_sets(draw, min_n, max_n):
+    """Sorted index sets of length N whose multiplicity vector repeats with
+    a period p, a divisor of N below N: m[i] = c[i mod p] with c summing to
+    p. The shift by p fixes them, so many lines of the reduction tie, and
+    some sets lie off the residue gate."""
+    n = draw(st.integers(min_n, max_n))
+    p = draw(st.sampled_from([p for p in range(1, n) if n % p == 0]))
+    cuts = sorted(draw(st.lists(st.integers(0, p), min_size=p - 1, max_size=p - 1)))
+    c = [hi - lo for lo, hi in zip([0] + cuts, cuts + [p])]
+    return ce.indices_from_multiplicities([c[i % p] for i in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(valid_index_sets(10, 16), periodic_index_sets(9, 40)))
+def test_reduce_representative_matches_search(a):
+    assert ce.reduce_representative(a) == _reduce_representative_by_search(a)
+
+
+@st.composite
+def coset_index_sets(draw):
+    """Sorted index sets of length N = s*d, s = 2 or 3, N <= 300, on one
+    coset r + dZ_N: counts c_j at r + jd, for a random shift r. The largest
+    count is free; the others stay at most 60 (s = 2) or 12 (s = 3), which
+    keeps the partition sum's content lattice small."""
+    s = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(1, 300 // s))
+    n = s * d
+    small = [draw(st.integers(0, min(n // (s - 1), 60 if s == 2 else 12))) for _ in range(s - 1)]
+    c = draw(st.permutations(small + [n - sum(small)]))
+    r = draw(st.integers(0, n - 1))
+    return tuple(sorted((r + j * d) % n for j, k in enumerate(c) for _ in range(k)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(valid_index_sets(10, 16))
-def test_reduce_representative_matches_search(a):
-    assert ce.reduce_representative(a) == _reduce_representative_by_search(a)
+@given(coset_index_sets())
+def test_coefficient_matches_power_identity_on_cosets(a):
+    # every line of the reduction that starts at the largest count ties at
+    # the top, so the tie is long; the content kernel then runs on one or
+    # two values with many copies, at N where no brute-force oracle runs
+    assert ce.coefficient(a) == oracles.coeff_via_power(a)
 
 
 @st.composite

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from circulant import oracles, symmetry as sym
-from circulant.coeff_engine import (coeff_theorem3, coefficient, coprime_residues, group_action,
+from circulant.coeff_engine import (coeff_theorem3, coefficient, coprime_residues,
                                     indices_from_multiplicities)
 from circulant.exactmath import binomial, divisors, euler_phi, mobius
 
@@ -134,6 +134,12 @@ def test_burnside_matches_direct_count():
         assert sym.count_super_orbits(n) == len(records), n
 
 
+def _positions(g, n):
+    """Where the element g sends each position, x -> mult*x + shift: oracles.act
+    moves the count at x there."""
+    return [(g.mult * x + g.shift) % n for x in range(n)]
+
+
 def test_invariant_counts():
     # full generator (shift 1, mult 1): only the all-ones vector, odd N only
     for n in range(3, 11):
@@ -144,7 +150,7 @@ def test_invariant_counts():
     # N = 2p, shift by 2: the two alternating-support vectors; the scan at
     # N = 10, the fixed-vector DP (checked against the scan below) at N = 14
     assert oracles.invariant_count_K(10, oracles.GroupElement(2, 1)) == 2
-    assert sym._fixed_vector_count(14, group_action(14, 2, 1)[0]) == 2
+    assert sym._fixed_vector_count(14, _positions(oracles.GroupElement(2, 1), 14)) == 2
 
 
 def test_invariant_counts_multiplier_only():
@@ -163,8 +169,8 @@ def test_invariant_counts_multiplier_only():
 def test_fixed_vector_count_agrees_with_scan():
     for n in (6, 7, 8):
         for g in [oracles.GroupElement(a, b) for a in range(n) for b in coprime_residues(n)]:
-            perm, _ = group_action(n, g.shift, g.mult)
-            assert sym._fixed_vector_count(n, perm) == oracles.invariant_count_K(n, g), (n, g)
+            want = oracles.invariant_count_K(n, g)
+            assert sym._fixed_vector_count(n, _positions(g, n)) == want, (n, g)
 
 
 # The counting formulas as they were written with Fraction, kept as the
